@@ -108,7 +108,7 @@ def make_mistake_step(
     j = int(rng.integers(video.K))
     replaced = video.clips[j].truth
     if donor_pool is None:
-        donor_pool = donor_candidates(corpus, same_task_only=same_task_donor)
+        donor_pool = donor_candidates(corpus)
     eligible = [
         (vid, idx, label)
         for vid, idx, label in donor_pool
@@ -130,7 +130,7 @@ def make_mistake_step(
     )
 
 
-def donor_candidates(corpus: Corpus, same_task_only: bool = False) -> list[tuple[str, int, int]]:
+def donor_candidates(corpus: Corpus) -> list[tuple[str, int, int]]:
     """Flat (video_id, clip_index, label) list over all corpus clips, in
     corpus order; callers filter per instance."""
     return [
@@ -317,7 +317,7 @@ def build_benchmark_set(
 
 def _encode_instance(inst: BenchmarkInstance) -> str:
     if inst.kind == "long_term":
-        target = [t if t is not None else None for t in inst.target]
+        target = list(inst.target)
     elif inst.kind == "mistake_order":
         target = bool(inst.target)
     else:
@@ -339,6 +339,31 @@ def write_benchmark_jsonl(bset: BenchmarkSet, path):
             fh.write("\n")
 
 
+def _record_problem(corpus: Corpus, kind: str, video_id, refs, target) -> str | None:
+    """Why a parsed record does not fit the corpus, or None: the record's
+    video and every clip ref must name a corpus video (every video has a
+    clip 0), refs a clip inside it, and targets must lie in their kind's
+    range (labels, task ids, or positions among the clip refs)."""
+    for vid, idx in [(video_id, 0), *refs]:
+        try:
+            k = corpus.video(vid).K
+        except (KeyError, TypeError):
+            return f"unknown video {vid!r}"
+        if not 0 <= idx < k:
+            return f"clip {idx} of video {vid!r} outside [0, {k})"
+    if kind == "mistake_order":
+        return None
+    if kind == "mistake_step":
+        what, allowed = "a clip position", range(len(refs))
+    elif kind == "proc_rec":
+        what, allowed = "a corpus task id", corpus.task_names
+    else:
+        what, allowed = "a corpus label", range(len(corpus.vocab))
+    values = [t for t in target if t is not None] if kind == "long_term" else [target]
+    bad = [t for t in values if t not in allowed]
+    return f"{kind} target {bad[0]} is not {what}" if bad else None
+
+
 def read_benchmark_jsonl(path, corpus: Corpus, source_split: str = "file") -> BenchmarkSet:
     """Load instances, resolving clip features and labels via the corpus."""
     instances = []
@@ -355,16 +380,19 @@ def read_benchmark_jsonl(path, corpus: Corpus, source_split: str = "file") -> Be
                 refs = [(str(v), int(i)) for v, i in rec["clip_refs"]]
                 raw_target = rec["target"]
                 seed = int(rec["seed"])
+                if kind == "long_term":
+                    target = tuple(None if t is None else int(t) for t in raw_target)
+                elif kind == "mistake_order":
+                    target = bool(raw_target)
+                else:
+                    target = int(raw_target)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if kind not in KINDS:
                 raise ParseError(f"{path}:{lineno}: unknown kind {kind!r}")
-            if kind == "long_term":
-                target = tuple(None if t is None else int(t) for t in raw_target)
-            elif kind == "mistake_order":
-                target = bool(raw_target)
-            else:
-                target = int(raw_target)
+            problem = _record_problem(corpus, kind, video_id, refs, target)
+            if problem:
+                raise ParseError(f"{path}:{lineno}: {problem}")
             clips, labels = _resolve_clips(corpus, refs)
             instances.append(
                 BenchmarkInstance(

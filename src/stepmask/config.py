@@ -29,7 +29,7 @@ SCHEMA = {
         "num_tasks", "steps_per_task", "vocab_size", "videos_per_task",
         "feature_noise_sigma", "asr_noise", "feature_dim", "seed", "weak_topk",
         "skip_probability", "alternative_fraction", "label_share_rate",
-        "embed_dim", "split_ratios", "clip_vectors_per_step",
+        "embed_dim", "split_ratios",
     },
     "model": {
         "d", "layers", "heads", "max_positions", "mlp_ratio", "use_positional",
@@ -56,7 +56,6 @@ DEFAULTS = {
         "feature_noise_sigma": 0.1,
         "asr_noise": 0.0,
         "feature_dim": 32,
-        "seed": 0,
         "split_ratios": [0.8, 0.1, 0.1],
     },
     "model": {
@@ -67,7 +66,7 @@ DEFAULTS = {
         "mlp_ratio": 4.0,
         "use_positional": True,
     },
-    "mask": {"ratio": 0.15, "resample_if_empty": True, "seed": 0},
+    "mask": {"ratio": 0.15, "resample_if_empty": True},
     "pretrain": {
         "loss": "sc",
         "epochs": 100,
@@ -83,7 +82,6 @@ DEFAULTS = {
         "lr": 0.005,
         "epochs": 50,
         "schedule": [[30, 0.1], [40, 0.1]],
-        "seed": 0,
         "optimizer": "sgd_momentum",
         "momentum": 0.9,
         "weight_decay": 0.0,

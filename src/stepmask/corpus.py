@@ -62,7 +62,7 @@ class CorpusConfig:
     """Knobs for synthetic corpus generation.
 
     steps_per_task may be a single int or an inclusive (min, max) range
-    sampled per task. clip_vectors_per_step is reserved and must stay 1.
+    sampled per task.
     """
 
     num_tasks: int
@@ -79,7 +79,6 @@ class CorpusConfig:
     label_share_rate: float = 0.0
     embed_dim: int = 32
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    clip_vectors_per_step: int = 1
 
     def __post_init__(self):
         lo, hi = self.steps_range()
@@ -97,8 +96,6 @@ class CorpusConfig:
             raise ConfigError("skip_probability must lie in [0, 1)")
         if self.weak_topk < 1:
             raise ConfigError("weak_topk must be >= 1")
-        if self.clip_vectors_per_step != 1:
-            raise ConfigError("clip_vectors_per_step is reserved; only 1 is supported")
 
     def steps_range(self) -> tuple[int, int]:
         if isinstance(self.steps_per_task, int):
@@ -608,7 +605,10 @@ def load_corpus(corpus_dir) -> Corpus:
         cfg_dict["steps_per_task"] = tuple(cfg_dict["steps_per_task"])
     if isinstance(cfg_dict.get("split_ratios"), list):
         cfg_dict["split_ratios"] = tuple(cfg_dict["split_ratios"])
-    cfg = CorpusConfig(**cfg_dict)
+    try:
+        cfg = CorpusConfig(**cfg_dict)
+    except TypeError as exc:
+        raise ParseError(f"{d}/manifest.json: config: {exc}") from exc
     embedder = default_embedder(cfg)
     vocab = StepVocabulary.from_json_file(d / "vocab.json", embedder)
     features = d / "features.stpf"

@@ -1,13 +1,11 @@
 """Fine-tuning and evaluation of the pre-trained model on the six benchmark
 task kinds.
 
-Prediction routing per kind:
-  step_cls       main head on the single clip's hidden state
-  short_term     main head on an appended mask-token position
-  long_term      five forecast heads (labels + NULL) on the CLS hidden state
-  proc_rec       task head on CLS
-  mistake_step   scalar mistake head on every clip position, argmax position
-  mistake_order  two-way order head on CLS
+`ROUTES` holds, per kind, the hidden row its heads read (which also fixes the
+reserved tokens of the forward pass), its (weight, bias) head arrays with one
+pair per output slot, and how targets map to class indices and back.
+`_head_logits` runs the forward pass for both `predict` and the fine-tune
+loss, so evaluation always scores the logits training optimized.
 
 linear_probe trains only the kind's head; finetune also trains the
 transformer (input projection, blocks, mask/cls tokens, positional), never
@@ -19,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,15 +45,45 @@ from .training import (
 )
 from .weaklabel import TextEmbedder, embed_text
 
-KIND_HEADS: dict[str, tuple[str, ...]] = {
-    "step_cls": ("head_w", "head_b"),
-    "short_term": ("head_w", "head_b"),
-    "proc_rec": ("task_head_w", "task_head_b"),
-    "mistake_order": ("order_head_w", "order_head_b"),
-    "mistake_step": ("mistake_head_w", "mistake_head_b"),
-    "long_term": tuple(
-        f"forecast.{i}.{wb}" for i in range(LONG_TERM_SLOTS) for wb in ("w", "b")
+
+@dataclass(frozen=True)
+class Route:
+    """How one benchmark kind reads the transformer.
+
+    row: "cls" (CLS prepended, row 0), "clip" (the first clip row), "query"
+    (a masked position appended after the clips) or "clips" (every clip row;
+    a one-column pointer head scores each clip). Heads name one (weight,
+    bias) pair per output slot; `classes` maps a target to one class index
+    per slot (mcfg.s is the NULL forecast class) and `decode` maps argmax
+    classes back to a prediction.
+    """
+
+    row: str
+    heads: tuple[tuple[str, str], ...]
+    classes: Callable[[object, int], tuple[int, ...]] = lambda target, s: (int(target),)
+    decode: Callable[[tuple[int, ...], int], object] = lambda classes, s: classes[0]
+
+
+MAIN_HEAD = (("head_w", "head_b"),)
+ROUTES: dict[str, Route] = {
+    "step_cls": Route("clip", MAIN_HEAD),
+    "short_term": Route("query", MAIN_HEAD),
+    "proc_rec": Route("cls", (("task_head_w", "task_head_b"),)),
+    "mistake_order": Route(
+        "cls", (("order_head_w", "order_head_b"),),
+        classes=lambda target, s: (int(bool(target)),),
+        decode=lambda classes, s: bool(classes[0] == 1),
     ),
+    "mistake_step": Route("clips", (("mistake_head_w", "mistake_head_b"),)),
+    "long_term": Route(
+        "cls", tuple((f"forecast.{i}.w", f"forecast.{i}.b") for i in range(LONG_TERM_SLOTS)),
+        classes=lambda target, s: tuple(s if t is None else int(t) for t in target),
+        decode=lambda classes, s: tuple(None if c == s else c for c in classes),
+    ),
+}
+KIND_HEADS: dict[str, tuple[str, ...]] = {
+    kind: tuple(name for pair in route.heads for name in pair)
+    for kind, route in ROUTES.items()
 }
 ALL_HEAD_NAMES = frozenset(name for names in KIND_HEADS.values() for name in names)
 
@@ -127,15 +156,6 @@ def trainable_names(params: TransformerParams, cfg: FinetuneConfig) -> set[str]:
     return names
 
 
-def _instance_forward(params, mcfg: ModelConfig, inst: BenchmarkInstance, task_token):
-    if inst.kind == "short_term":
-        feats = np.vstack([inst.clips, np.zeros((1, mcfg.d_in))])
-        return forward(params, mcfg, feats, mask_set=(inst.K,), task_token=task_token)
-    if inst.kind in ("long_term", "proc_rec", "mistake_order"):
-        return forward(params, mcfg, inst.clips, prepend_cls=True, task_token=task_token)
-    return forward(params, mcfg, inst.clips, task_token=task_token)
-
-
 def _task_token(inst: BenchmarkInstance, use_task_label: bool):
     if not use_task_label:
         return None
@@ -146,6 +166,36 @@ def _task_token(inst: BenchmarkInstance, use_task_label: bool):
     return inst.task_name_embedding
 
 
+def _head_logits(params, mcfg: ModelConfig, inst: BenchmarkInstance, use_task_label: bool):
+    """Forward pass for one instance: (trace, the hidden row index its heads
+    read, [(head input, logits)] with one entry per output slot)."""
+    route = ROUTES.get(inst.kind)
+    if route is None:
+        raise InvalidInput(f"unknown instance kind {inst.kind!r}")
+    clips, mask = inst.clips, ()
+    if route.row == "query":
+        clips, mask = np.vstack([inst.clips, np.zeros((1, mcfg.d_in))]), (inst.K,)
+    trace = forward(
+        params, mcfg, clips, mask_set=mask, prepend_cls=route.row == "cls",
+        task_token=_task_token(inst, use_task_label),
+    )
+    at = {
+        "cls": 0,
+        "clip": trace.offset,
+        "query": trace.offset + inst.K,
+        "clips": slice(trace.offset, None),
+    }[route.row]
+    x = trace.hidden[at]
+    # Keep each head's matmul shape: BLAS rounds a (T, D) product's rows and
+    # a single-row product differently in the last bits.
+    if route.heads == MAIN_HEAD:
+        return trace, at, [(x, trace.logits[at])]
+    return trace, at, [
+        (x, (x @ get_array(params, w) + get_array(params, b)).reshape(-1))
+        for w, b in route.heads
+    ]
+
+
 def predict(
     params: TransformerParams,
     mcfg: ModelConfig,
@@ -154,29 +204,9 @@ def predict(
 ):
     """Task-specific prediction for one instance; ties resolve to the lowest
     index via argmax."""
-    trace = _instance_forward(params, mcfg, inst, _task_token(inst, use_task_label))
-    kind = inst.kind
-    if kind == "step_cls":
-        return int(np.argmax(trace.clip_logits[0]))
-    if kind == "short_term":
-        return int(np.argmax(trace.clip_logits[inst.K]))
-    if kind == "proc_rec":
-        h0 = trace.hidden[0]
-        return int(np.argmax(h0 @ params.task_head_w + params.task_head_b))
-    if kind == "mistake_order":
-        h0 = trace.hidden[0]
-        return bool(np.argmax(h0 @ params.order_head_w + params.order_head_b) == 1)
-    if kind == "mistake_step":
-        scores = (trace.clip_hidden @ params.mistake_head_w)[:, 0] + params.mistake_head_b[0]
-        return int(np.argmax(scores))
-    if kind == "long_term":
-        h0 = trace.hidden[0]
-        slots = []
-        for w, b in zip(params.forecast_w, params.forecast_b):
-            c = int(np.argmax(h0 @ w + b))
-            slots.append(None if c == mcfg.s else c)
-        return tuple(slots)
-    raise InvalidInput(f"unknown instance kind {kind!r}")
+    _, _, slots = _head_logits(params, mcfg, inst, use_task_label)
+    classes = tuple(int(np.argmax(z)) for _, z in slots)
+    return ROUTES[inst.kind].decode(classes, mcfg.s)
 
 
 def _count_correct(inst: BenchmarkInstance, prediction) -> tuple[int, int]:
@@ -234,110 +264,39 @@ def _instance_loss_grads(
     cfg: FinetuneConfig,
     grads: TransformerParams,
 ):
-    """Forward, cross-entropy on the kind head, gradients into `grads`.
+    """Forward, cross-entropy summed over the kind's head slots, gradients
+    into `grads`.
 
-    linear_probe touches only the head arrays; finetune also backpropagates
-    into the transformer. Returns (loss, correct, total).
+    Every long_term slot trains (padded slots target the NULL class), but
+    accuracy counts non-NULL slots only, as `evaluate` does. linear_probe
+    touches only the head arrays; finetune also backpropagates into the
+    transformer. Returns (loss, correct, total).
     """
-    trace = _instance_forward(params, mcfg, inst, _task_token(inst, cfg.use_task_label))
-    full = cfg.mode == "finetune"
-    kind = inst.kind
-
-    if kind in ("step_cls", "short_term"):
-        row = trace.offset + (0 if kind == "step_cls" else inst.K)
-        target = int(inst.target)
-        loss = -log_softmax(trace.logits[row])[target]
-        p = softmax_logits(trace.logits[row])
-        d_row = p.copy()
-        d_row[target] -= 1.0
-        grads.head_w += np.outer(trace.hidden[row], d_row)
-        grads.head_b += d_row
-        if full:
-            d_hidden = np.zeros((trace.T, mcfg.d))
-            d_hidden[row] = d_row @ params.head_w.T
-            model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
-        pred = int(np.argmax(trace.logits[row]))
-        return loss, int(pred == target), 1
-
-    if kind == "proc_rec":
-        if not 0 <= int(inst.target) < mcfg.num_tasks:
-            raise ConfigError(
-                f"task head covers {mcfg.num_tasks} tasks, target {inst.target}"
-            )
-        h0 = trace.hidden[0]
-        z = h0 @ params.task_head_w + params.task_head_b
-        target = int(inst.target)
-        loss = -log_softmax(z)[target]
-        p = softmax_logits(z)
-        d = p.copy()
-        d[target] -= 1.0
-        grads.task_head_w += np.outer(h0, d)
-        grads.task_head_b += d
-        if full:
-            d_hidden = np.zeros((trace.T, mcfg.d))
-            d_hidden[0] = d @ params.task_head_w.T
-            model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
-        return loss, int(np.argmax(z) == target), 1
-
-    if kind == "mistake_order":
-        h0 = trace.hidden[0]
-        z = h0 @ params.order_head_w + params.order_head_b
-        target = int(bool(inst.target))
-        loss = -log_softmax(z)[target]
-        p = softmax_logits(z)
-        d = p.copy()
-        d[target] -= 1.0
-        grads.order_head_w += np.outer(h0, d)
-        grads.order_head_b += d
-        if full:
-            d_hidden = np.zeros((trace.T, mcfg.d))
-            d_hidden[0] = d @ params.order_head_w.T
-            model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
-        return loss, int(np.argmax(z) == target), 1
-
-    if kind == "mistake_step":
-        ch = trace.clip_hidden
-        scores = (ch @ params.mistake_head_w)[:, 0] + params.mistake_head_b[0]
-        j = int(inst.target)
-        loss = -log_softmax(scores)[j]
-        p = softmax_logits(scores)
-        d_s = p.copy()
-        d_s[j] -= 1.0
-        grads.mistake_head_w += ch.T @ d_s[:, None]
-        grads.mistake_head_b += np.array([d_s.sum()])
-        if full:
-            d_hidden = np.zeros((trace.T, mcfg.d))
-            d_hidden[trace.offset :] = np.outer(d_s, params.mistake_head_w[:, 0])
-            model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
-        return loss, int(np.argmax(scores) == j), 1
-
-    # long_term: every slot trains (padded slots target the NULL class);
-    # accuracy counts non-NULL slots only.
-    h0 = trace.hidden[0]
-    d_h0 = np.zeros(mcfg.d)
+    trace, at, slots = _head_logits(params, mcfg, inst, cfg.use_task_label)
+    route = ROUTES[inst.kind]
+    d_hidden = np.zeros((trace.T, mcfg.d))
     loss = 0.0
-    correct = 0
-    total = 0
-    for slot, want in enumerate(inst.target):
-        w = params.forecast_w[slot]
-        b = params.forecast_b[slot]
-        z = h0 @ w + b
-        target = mcfg.s if want is None else int(want)
+    predicted = []
+    for (x, z), (w_name, b_name), target in zip(
+        slots, route.heads, route.classes(inst.target, mcfg.s)
+    ):
+        if not 0 <= target < z.shape[0]:
+            raise ConfigError(f"{w_name} covers {z.shape[0]} classes, target {target}")
         loss -= log_softmax(z)[target]
-        p = softmax_logits(z)
-        d = p.copy()
+        d = softmax_logits(z)
         d[target] -= 1.0
-        grads.forecast_w[slot] += np.outer(h0, d)
-        grads.forecast_b[slot] += d
-        d_h0 += d @ w.T
-        if want is not None:
-            total += 1
-            correct += int(np.argmax(z) == target)
-    if full:
-        d_hidden = np.zeros((trace.T, mcfg.d))
-        d_hidden[0] = d_h0
+        w = get_array(params, w_name)
+        if x.ndim == 1:
+            dw, db, dx = np.outer(x, d), d, d @ w.T
+        else:  # pointer head: one score per clip row
+            dw, db, dx = x.T @ d[:, None], np.array([d.sum()]), np.outer(d, w[:, 0])
+        get_array(grads, w_name)[...] += dw
+        get_array(grads, b_name)[...] += db
+        d_hidden[at] += dx
+        predicted.append(int(np.argmax(z)))
+    if cfg.mode == "finetune":
         model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
-    return loss, correct, total
+    return (loss, *_count_correct(inst, route.decode(tuple(predicted), mcfg.s)))
 
 
 def finetune(

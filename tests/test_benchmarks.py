@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,7 +18,7 @@ from stepmask.benchmarks import (
     write_benchmark_jsonl,
 )
 from stepmask.corpus import Clip, Corpus, CorpusConfig, VideoRecord, generate_corpus
-from stepmask.errors import InvalidInput, SynthesisError
+from stepmask.errors import InvalidInput, ParseError, SynthesisError
 from stepmask.weaklabel import LabelDistribution
 
 
@@ -220,6 +222,36 @@ class TestJsonl:
             assert a.target == b.target
             assert a.labels == b.labels
             assert np.array_equal(a.clips, b.clips)
+
+    @pytest.mark.parametrize(
+        "kind, edit, match",
+        [
+            ("step_cls", lambda r, k: r.update(clip_refs=[[r["video_id"], -1]]), "clip -1 .* outside"),
+            ("step_cls", lambda r, k: r.update(clip_refs=[[r["video_id"], k]]), "outside"),
+            ("step_cls", lambda r, k: r.update(clip_refs=[["nope", 0]]), "unknown video 'nope'"),
+            ("step_cls", lambda r, k: r.update(video_id="nope"), "unknown video 'nope'"),
+            ("step_cls", lambda r, k: r.update(target=20), "not a corpus label"),
+            ("long_term", lambda r, k: r.update(target=[3, 99, None, None, None]), "not a corpus label"),
+            ("long_term", lambda r, k: r.update(target=3), "not iterable"),
+            ("proc_rec", lambda r, k: r.update(target=57), "not a corpus task id"),
+            ("mistake_step", lambda r, k: r.update(target=-1), "not a clip position"),
+            ("mistake_step", lambda r, k: r.update(target=k), "not a clip position"),
+        ],
+        ids=[
+            "negative_clip", "clip_past_end", "unknown_ref_video", "unknown_video_id",
+            "label", "long_term_label", "long_term_scalar", "task_id",
+            "negative_mistake_step", "mistake_step_past_end",
+        ],
+    )
+    def test_out_of_range_record_rejected(self, corpus, kind, edit, match, tmp_path):
+        bset = build_benchmark_set(kind, corpus.videos[:1], corpus, seed=5)
+        path = tmp_path / "bad.jsonl"
+        write_benchmark_jsonl(bset, path)
+        record = json.loads(path.read_text().splitlines()[0])
+        edit(record, corpus.videos[0].K)
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=f"bad.jsonl:1: .*{match}"):
+            read_benchmark_jsonl(path, corpus)
 
     def test_empty_file_rejected(self, corpus, tmp_path):
         path = tmp_path / "empty.jsonl"

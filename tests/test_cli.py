@@ -68,6 +68,16 @@ class TestRunConfig:
     def test_seed_override(self, tmp_path):
         cfg = RunConfig.load(write_config(tmp_path), seed=123)
         assert cfg.seed == 123
+        assert cfg.corpus_config().seed == 123
+        assert cfg.mask_spec().seed == 123
+        assert cfg.finetune_config().seed == 123
+        pinned = RunConfig.load(
+            write_config(tmp_path), overrides=["corpus.seed=5", "mask.seed=6", "finetune.seed=7"],
+            seed=123,
+        )
+        assert (
+            pinned.corpus_config().seed, pinned.mask_spec().seed, pinned.finetune_config().seed
+        ) == (5, 6, 7)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,9 @@ from stepmask.corpus import (
     split_corpus,
     synthetic_vocabulary,
 )
-from stepmask.errors import ConfigError, InvalidAnnotation, InvalidInput, VocabularyMismatch
+from stepmask.errors import (
+    ConfigError, InvalidAnnotation, InvalidInput, ParseError, VocabularyMismatch,
+)
 from stepmask.weaklabel import TextEmbedder, best_label
 
 
@@ -40,8 +42,6 @@ class TestConfig:
             small_config(vocab_size=2)
         with pytest.raises(ConfigError):
             small_config(asr_noise=1.0)
-        with pytest.raises(ConfigError):
-            small_config(clip_vectors_per_step=2)
 
     def test_steps_range(self):
         assert small_config(steps_per_task=(4, 6)).steps_range() == (4, 6)
@@ -179,6 +179,14 @@ class TestFiles:
         assert on_disk == manifest
         assert on_disk["digest"] == corpus.digest()
         assert on_disk["config_digest"] == "abc"
+
+    def test_unknown_manifest_config_key_rejected(self, tmp_path):
+        save_corpus(generate_corpus(small_config()), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"]["clip_vectors_per_step"] = 1
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="manifest.json.*clip_vectors_per_step"):
+            load_corpus(tmp_path)
 
     def test_empty_video_list(self, tmp_path):
         (tmp_path / "ann.json").write_text('{"videos": []}')

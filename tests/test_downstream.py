@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from stepmask.benchmarks import build_benchmark_set, make_long_term
+from stepmask.benchmarks import KINDS, build_benchmark_set, make_long_term
 from stepmask.corpus import CorpusConfig, default_embedder, generate_corpus
 from stepmask.downstream import (
+    KIND_HEADS,
     FinetuneConfig,
     attach_task_embeddings,
     embed_task_label,
@@ -12,14 +13,18 @@ from stepmask.downstream import (
     predict,
     trainable_names,
     _count_correct,
+    _instance_loss_grads,
 )
 from stepmask.errors import ConfigError, InvalidInput
 from stepmask.model import (
+    clone_params,
     desk_preset,
     forward,
+    get_array,
     init_params,
     named_arrays,
     params_digest,
+    zeros_like_params,
 )
 from stepmask.training import MaskSpec, OptimizerConfig, pretrain
 from stepmask.weaklabel import TextEmbedder
@@ -73,6 +78,42 @@ class TestPredictRouting:
         ]:
             bset = build_benchmark_set(kind, corpus.videos[:2], corpus, seed=3)
             assert type_check(predict(pretrained, mcfg, bset.instances[0])), kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestHeadTable:
+    def test_loss_counts_match_predict(self, corpus, mcfg, pretrained, kind):
+        bset = build_benchmark_set(kind, corpus.videos[:4], corpus, seed=3)
+        cfg = FinetuneConfig(task_kind=kind)
+        grads = zeros_like_params(pretrained)
+        for inst in bset.instances:
+            _, correct, total = _instance_loss_grads(pretrained, mcfg, inst, cfg, grads)
+            assert (correct, total) == _count_correct(inst, predict(pretrained, mcfg, inst))
+
+    def test_finetune_gradient_matches_finite_differences(self, corpus, mcfg, pretrained, kind):
+        # eps=1e-4 keeps the roundoff of a ~10-nat loss below the 1e-6 floor;
+        # the floor covers exactly-zero gradients such as single-clip wq.
+        eps = 1e-4
+        params = clone_params(pretrained)
+        inst = build_benchmark_set(kind, corpus.videos[:1], corpus, seed=3).instances[0]
+        cfg = FinetuneConfig(task_kind=kind, mode="finetune")
+        grads = zeros_like_params(params)
+        _instance_loss_grads(params, mcfg, inst, cfg, grads)
+        scratch = zeros_like_params(params)
+        rng = np.random.default_rng(0)
+        for name in (*KIND_HEADS[kind], "w_in", "blocks.0.wq"):
+            flat = get_array(params, name).reshape(-1)
+            analytic = get_array(grads, name).reshape(-1)
+            for c in rng.choice(flat.size, size=min(flat.size, 12), replace=False):
+                original = flat[c]
+                flat[c] = original + eps
+                up = _instance_loss_grads(params, mcfg, inst, cfg, scratch)[0]
+                flat[c] = original - eps
+                down = _instance_loss_grads(params, mcfg, inst, cfg, scratch)[0]
+                flat[c] = original
+                numeric = (up - down) / (2 * eps)
+                a = analytic[c]
+                assert abs(a - numeric) / max(1e-6, abs(a) + abs(numeric)) < 1e-5, (name, c)
 
 
 class TestTaskLabelToken:
