@@ -343,7 +343,9 @@ def _record_problem(corpus: Corpus, kind: str, video_id, refs, target) -> str | 
     """Why a parsed record does not fit the corpus, or None: the record's
     video and every clip ref must name a corpus video (every video has a
     clip 0), refs a clip inside it, and targets must lie in their kind's
-    range (labels, task ids, or positions among the clip refs)."""
+    range (labels, task ids, or positions among the clip refs). A
+    mistake_order target is a JSON boolean; a long_term target has exactly
+    LONG_TERM_SLOTS slots."""
     for vid, idx in [(video_id, 0), *refs]:
         try:
             k = corpus.video(vid).K
@@ -352,7 +354,10 @@ def _record_problem(corpus: Corpus, kind: str, video_id, refs, target) -> str | 
         if not 0 <= idx < k:
             return f"clip {idx} of video {vid!r} outside [0, {k})"
     if kind == "mistake_order":
-        return None
+        ok = isinstance(target, bool)
+        return None if ok else f"mistake_order target {target!r} is not true or false"
+    if kind == "long_term" and len(target) != LONG_TERM_SLOTS:
+        return f"long_term target has {len(target)} slots, not {LONG_TERM_SLOTS}"
     if kind == "mistake_step":
         what, allowed = "a clip position", range(len(refs))
     elif kind == "proc_rec":
@@ -383,7 +388,7 @@ def read_benchmark_jsonl(path, corpus: Corpus, source_split: str = "file") -> Be
                 if kind == "long_term":
                     target = tuple(None if t is None else int(t) for t in raw_target)
                 elif kind == "mistake_order":
-                    target = bool(raw_target)
+                    target = raw_target
                 else:
                     target = int(raw_target)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -29,6 +29,7 @@ from .model import (
     TransformerParams,
     backward as model_backward,
     clone_params,
+    flat_spans,
     forward,
     get_array,
     log_softmax,
@@ -324,7 +325,8 @@ def finetune(
     )
     state = init_optimizer(opt, params)
     grads = zeros_like_params(params)
-    touched = trainable if cfg.mode == "linear_probe" else {n for n, _ in named_arrays(params)}
+    # Only these spans of the gradient buffer are ever written.
+    touched = flat_spans(params, trainable if cfg.mode == "linear_probe" else params.layout)
     history: list[EpochStats] = []
     last_good = clone_params(params)
     for epoch in range(cfg.epochs):
@@ -335,8 +337,8 @@ def finetune(
         total = 0
         for ii in order:
             inst = dataset.instances[ii]
-            for name in touched:
-                get_array(grads, name).fill(0.0)
+            for lo, hi in touched:
+                grads.flat[lo:hi] = 0.0
             try:
                 loss, c, t = _instance_loss_grads(params, mcfg, inst, cfg, grads)
             except FloatingPointError as exc:
@@ -361,6 +363,6 @@ def finetune(
                 lr=opt.lr_at(epoch),
             )
         )
-        last_good = clone_params(params)
+        last_good.flat[...] = params.flat
     report = TrainReport(history, time.perf_counter() - start, config_digest, cfg.seed)
     return params, report

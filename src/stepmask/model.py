@@ -5,14 +5,22 @@ Everything runs in float64 with no dropout, so forward passes are exact
 functions of (params, inputs) and the hand-written backward pass can be
 checked against finite differences to tight tolerances. Each forward returns
 a ForwardTrace caching every intermediate the backward pass needs.
+
+All parameters live in one contiguous float64 buffer, `params.flat`, laid
+out by `param_layout(cfg)` as an ordered name -> (offset, shape) table; every
+array attribute (`w_in`, `blocks[i].wq`, `forecast_w[i]`, ...) is a view into
+it. Cloning, zeroing and gradient accumulation are single array operations,
+and the optimizer updates contiguous spans of the buffer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -111,8 +119,17 @@ class BlockParams:
     b_down: np.ndarray
 
 
+# Ordered name -> (offset, shape) of every parameter array in the flat buffer.
+Layout = dict[str, tuple[int, tuple[int, ...]]]
+
+
 @dataclass
 class TransformerParams:
+    """Every array is a view into `flat`, one contiguous float64 buffer laid
+    out by `layout`. Update arrays in place: an attribute rebound to a new
+    array is detached from the buffer that clones, zeroing and the optimizer
+    work on."""
+
     w_in: np.ndarray
     b_in: np.ndarray
     mask_token: np.ndarray
@@ -129,33 +146,69 @@ class TransformerParams:
     mistake_head_b: np.ndarray
     forecast_w: list[np.ndarray]
     forecast_b: list[np.ndarray]
+    flat: np.ndarray = field(repr=False)
+    layout: Layout = field(repr=False)
+
+
+def param_layout(cfg: ModelConfig) -> Layout:
+    """The flat buffer's layout. Its order is the declaration order used
+    everywhere: checkpoints, digests and the optimizer's spans."""
+    d, h, s = cfg.d, cfg.mlp_hidden, cfg.s
+    shapes = {
+        "w_in": (cfg.d_in, d), "b_in": (d,), "mask_token": (d,), "cls_token": (d,),
+        "positional": (cfg.max_positions, d),
+    }
+    block = {
+        "ln1_gain": (d,), "ln1_bias": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d),
+        "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,), "ln2_gain": (d,),
+        "ln2_bias": (d,), "w_up": (d, h), "b_up": (h,), "w_down": (h, d), "b_down": (d,),
+    }
+    for i in range(cfg.layers):
+        shapes.update({f"blocks.{i}.{name}": shape for name, shape in block.items()})
+    shapes.update({
+        "head_w": (d, s), "head_b": (s,),
+        "task_head_w": (d, cfg.num_tasks), "task_head_b": (cfg.num_tasks,),
+        "order_head_w": (d, 2), "order_head_b": (2,),
+        "mistake_head_w": (d, 1), "mistake_head_b": (1,),
+    })
+    for i in range(FORECAST_SLOTS):
+        shapes.update({f"forecast.{i}.w": (d, s + 1), f"forecast.{i}.b": (s + 1,)})
+    layout, offset = {}, 0
+    for name, shape in shapes.items():
+        layout[name] = (offset, shape)
+        offset += math.prod(shape)
+    return layout
+
+
+def _layout_size(layout: Layout) -> int:
+    offset, shape = layout[next(reversed(layout))]
+    return offset + math.prod(shape)
+
+
+def _bind(layout: Layout, flat: np.ndarray) -> TransformerParams:
+    """Parameters whose arrays are views into `flat` at the layout's offsets."""
+    view = {
+        name: flat[offset : offset + math.prod(shape)].reshape(shape)
+        for name, (offset, shape) in layout.items()
+    }
+    layers = sum(name.endswith(".wq") for name in layout)
+    return TransformerParams(
+        **{name: arr for name, arr in view.items() if "." not in name},
+        blocks=[
+            BlockParams(**{f.name: view[f"blocks.{i}.{f.name}"] for f in fields(BlockParams)})
+            for i in range(layers)
+        ],
+        forecast_w=[view[f"forecast.{i}.w"] for i in range(FORECAST_SLOTS)],
+        forecast_b=[view[f"forecast.{i}.b"] for i in range(FORECAST_SLOTS)],
+        flat=flat,
+        layout=layout,
+    )
 
 
 def named_arrays(params: TransformerParams):
-    """(name, array) pairs in the fixed declaration order used everywhere:
-    checkpoints, optimizer buffers, digests."""
-    yield "w_in", params.w_in
-    yield "b_in", params.b_in
-    yield "mask_token", params.mask_token
-    yield "cls_token", params.cls_token
-    yield "positional", params.positional
-    for i, blk in enumerate(params.blocks):
-        for fname in (
-            "ln1_gain", "ln1_bias", "wq", "bq", "wk", "wv", "bv",
-            "wo", "bo", "ln2_gain", "ln2_bias", "w_up", "b_up", "w_down", "b_down",
-        ):
-            yield f"blocks.{i}.{fname}", getattr(blk, fname)
-    yield "head_w", params.head_w
-    yield "head_b", params.head_b
-    yield "task_head_w", params.task_head_w
-    yield "task_head_b", params.task_head_b
-    yield "order_head_w", params.order_head_w
-    yield "order_head_b", params.order_head_b
-    yield "mistake_head_w", params.mistake_head_w
-    yield "mistake_head_b", params.mistake_head_b
-    for i in range(len(params.forecast_w)):
-        yield f"forecast.{i}.w", params.forecast_w[i]
-        yield f"forecast.{i}.b", params.forecast_b[i]
+    """(name, array) pairs in the layout's order."""
+    for name in params.layout:
+        yield name, get_array(params, name)
 
 
 def get_array(params: TransformerParams, name: str) -> np.ndarray:
@@ -168,47 +221,27 @@ def get_array(params: TransformerParams, name: str) -> np.ndarray:
     return getattr(params, name)
 
 
-def set_array(params: TransformerParams, name: str, value: np.ndarray):
-    if name.startswith("blocks."):
-        _, idx, fname = name.split(".")
-        setattr(params.blocks[int(idx)], fname, value)
-    elif name.startswith("forecast."):
-        _, idx, wb = name.split(".")
-        (params.forecast_w if wb == "w" else params.forecast_b)[int(idx)] = value
-    else:
-        setattr(params, name, value)
+def flat_spans(params: TransformerParams, names) -> list[tuple[int, int]]:
+    """The (lo, hi) ranges of `params.flat` that hold the named arrays, in
+    buffer order, with adjacent arrays merged into one range."""
+    spans: list[tuple[int, int]] = []
+    for name, (offset, shape) in params.layout.items():
+        if name not in names:
+            continue
+        hi = offset + math.prod(shape)
+        if spans and spans[-1][1] == offset:
+            spans[-1] = (spans[-1][0], hi)
+        else:
+            spans.append((offset, hi))
+    return spans
 
 
 def zeros_like_params(params: TransformerParams) -> TransformerParams:
-    blocks = [
-        BlockParams(**{k: np.zeros_like(v) for k, v in vars(blk).items()})
-        for blk in params.blocks
-    ]
-    return TransformerParams(
-        w_in=np.zeros_like(params.w_in),
-        b_in=np.zeros_like(params.b_in),
-        mask_token=np.zeros_like(params.mask_token),
-        cls_token=np.zeros_like(params.cls_token),
-        positional=np.zeros_like(params.positional),
-        blocks=blocks,
-        head_w=np.zeros_like(params.head_w),
-        head_b=np.zeros_like(params.head_b),
-        task_head_w=np.zeros_like(params.task_head_w),
-        task_head_b=np.zeros_like(params.task_head_b),
-        order_head_w=np.zeros_like(params.order_head_w),
-        order_head_b=np.zeros_like(params.order_head_b),
-        mistake_head_w=np.zeros_like(params.mistake_head_w),
-        mistake_head_b=np.zeros_like(params.mistake_head_b),
-        forecast_w=[np.zeros_like(w) for w in params.forecast_w],
-        forecast_b=[np.zeros_like(b) for b in params.forecast_b],
-    )
+    return _bind(params.layout, np.zeros_like(params.flat))
 
 
 def clone_params(params: TransformerParams) -> TransformerParams:
-    out = zeros_like_params(params)
-    for name, arr in named_arrays(params):
-        set_array(out, name, arr.copy())
-    return out
+    return _bind(params.layout, params.flat.copy())
 
 
 def params_digest(params: TransformerParams) -> str:
@@ -219,47 +252,29 @@ def params_digest(params: TransformerParams) -> str:
     return h.hexdigest()
 
 
+# Drawn from N(0, INIT_STD^2) by init_params; layer-norm gains start at 1 and
+# every other array (the biases) at 0.
+_DRAWN = {
+    "w_in", "mask_token", "cls_token", "positional", "wq", "wk", "wv", "wo", "w_up",
+    "w_down", "head_w", "task_head_w", "order_head_w", "mistake_head_w", "w",
+}
+
+
 def init_params(cfg: ModelConfig, seed: int) -> TransformerParams:
     """Weights ~ N(0, 0.02^2), biases and layer-norm biases 0, layer-norm
-    gains 1; mask/cls tokens drawn like weights. Deterministic in seed."""
+    gains 1; mask/cls tokens drawn like weights. Deterministic in seed: the
+    blocks draw first, then the other arrays in layout order."""
     rng = np.random.default_rng([seed, 7])
-    d, h = cfg.d, cfg.mlp_hidden
-
-    def w(*shape):
-        return rng.normal(0.0, INIT_STD, shape)
-
-    def z(*shape):
-        return np.zeros(shape, dtype=np.float64)
-
-    blocks = []
-    for _ in range(cfg.layers):
-        blocks.append(
-            BlockParams(
-                ln1_gain=np.ones(d), ln1_bias=z(d),
-                wq=w(d, d), bq=z(d), wk=w(d, d), wv=w(d, d), bv=z(d),
-                wo=w(d, d), bo=z(d),
-                ln2_gain=np.ones(d), ln2_bias=z(d),
-                w_up=w(d, h), b_up=z(h), w_down=w(h, d), b_down=z(d),
-            )
-        )
-    return TransformerParams(
-        w_in=w(cfg.d_in, d),
-        b_in=z(d),
-        mask_token=w(d),
-        cls_token=w(d),
-        positional=w(cfg.max_positions, d),
-        blocks=blocks,
-        head_w=w(d, cfg.s),
-        head_b=z(cfg.s),
-        task_head_w=w(d, cfg.num_tasks),
-        task_head_b=z(cfg.num_tasks),
-        order_head_w=w(d, 2),
-        order_head_b=z(2),
-        mistake_head_w=w(d, 1),
-        mistake_head_b=z(1),
-        forecast_w=[w(d, cfg.s + 1) for _ in range(FORECAST_SLOTS)],
-        forecast_b=[z(cfg.s + 1) for _ in range(FORECAST_SLOTS)],
-    )
+    layout = param_layout(cfg)
+    params = _bind(layout, np.zeros(_layout_size(layout)))
+    for name in sorted(layout, key=lambda name: not name.startswith("blocks.")):
+        arr = get_array(params, name)
+        kind = name.rsplit(".", 1)[-1]
+        if kind in _DRAWN:
+            arr[...] = rng.normal(0.0, INIT_STD, arr.shape)
+        elif kind.endswith("_gain"):
+            arr.fill(1.0)
+    return params
 
 
 # --- forward ----------------------------------------------------------------
@@ -565,10 +580,9 @@ def save_checkpoint(path, params: TransformerParams, cfg: ModelConfig, provenanc
         fh.write(struct.pack("<I", len(cfg_bytes)))
         fh.write(cfg_bytes)
         for _, arr in named_arrays(params):
-            dims = arr.shape if arr.ndim else (1,)
-            fh.write(struct.pack("<I", len(dims)))
-            fh.write(struct.pack(f"<{len(dims)}I", *dims))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
     sidecar = {"config": cfg.to_dict(), "provenance": provenance or {}}
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -576,32 +590,51 @@ def save_checkpoint(path, params: TransformerParams, cfg: ModelConfig, provenanc
 
 
 def load_checkpoint(path) -> tuple[TransformerParams, ModelConfig]:
+    """Read a checkpoint straight into a fresh flat buffer. A file that does
+    not match the format raises ParseError naming the path and byte offset."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
-    (cfg_len,) = struct.unpack_from("<I", data, 8)
-    cfg = ModelConfig.from_dict(json.loads(data[12 : 12 + cfg_len].decode("utf-8")))
-    offset = 12 + cfg_len
-    params = init_params(cfg, seed=0)
-    for name, ref in named_arrays(params):
-        (rank,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
-        count = int(np.prod(dims))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(np.float64)
-        offset += 8 * count
-        shape = ref.shape if ref.ndim else dims
-        if tuple(dims) != (ref.shape if ref.ndim else (1,)):
-            raise ParseError(f"{path}: array {name} has shape {dims}, expected {ref.shape}")
-        set_array(params, name, arr.reshape(shape))
-    if offset != len(data):
-        raise ParseError(f"{path}: {len(data) - offset} trailing bytes")
-    return params, cfg
+        size = os.fstat(fh.fileno()).st_size
+        at = 0
+
+        def fail(message: str, where: int) -> ParseError:
+            return ParseError(f"{path}: {message} at byte {where}")
+
+        def read(n: int, what: str, into: np.ndarray | None = None):
+            nonlocal at
+            if at + n > size:
+                raise fail(f"file ends inside {what}", at)
+            at += n
+            return fh.read(n) if into is None else fh.readinto(memoryview(into).cast("B"))
+
+        magic = read(4, "the magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise fail(f"bad magic {magic!r}", 0)
+        (version,) = struct.unpack("<I", read(4, "the version"))
+        if version != CHECKPOINT_VERSION:
+            raise fail(f"unsupported version {version}", 4)
+        (cfg_len,) = struct.unpack("<I", read(4, "the config length"))
+        raw_cfg = read(cfg_len, "the config")
+        try:
+            cfg = ModelConfig.from_dict(json.loads(raw_cfg.decode("utf-8")))
+        except (ValueError, TypeError, ArithmeticError, ConfigError) as exc:
+            raise fail(f"bad model config ({exc})", 12) from exc
+        layout = param_layout(cfg)
+        flat_size = _layout_size(layout)
+        if 8 * flat_size > size - at:
+            raise fail(f"file too short for the {flat_size} parameters its config declares", at)
+        flat = np.empty(flat_size, dtype="<f8")
+        for name, (offset, shape) in layout.items():
+            start = at
+            (rank,) = struct.unpack("<I", read(4, f"the rank of {name}"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, f"the shape of {name}"))
+            if dims != shape:
+                raise fail(f"array {name} has shape {dims}, expected {shape}", start)
+            count = math.prod(shape)
+            read(8 * count, name, into=flat[offset : offset + count])
+        if at != size:
+            raise fail(f"{size - at} trailing bytes", at)
+    # A no-op on little-endian hosts, where "<f8" is the native float64.
+    return _bind(layout, flat.astype(np.float64, copy=False)), cfg
 
 
 def checkpoint_digest(path) -> str:

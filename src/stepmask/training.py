@@ -28,6 +28,7 @@ from .model import (
     TransformerParams,
     backward as model_backward,
     clone_params,
+    flat_spans,
     forward,
     get_array,
     init_params,
@@ -299,19 +300,29 @@ class OptimizerConfig:
         return d
 
 
+# Elements per chunk of the optimizer update. The chunk's slices of the
+# parameter, gradient and moment buffers plus two scratch rows of this size
+# stay cache-resident, and no temporaries are allocated.
+OPT_CHUNK = 32_768
+
+
 @dataclass
 class OptimizerState:
+    """Moment buffers over the whole flat parameter buffer (`v` is unused by
+    SGD), plus the trainable spans cached per trainable set and the chunk
+    scratch."""
+
     cfg: OptimizerConfig
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
+    spans: dict = field(default_factory=dict, repr=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, OPT_CHUNK)), repr=False)
 
 
 def init_optimizer(opt_cfg: OptimizerConfig, params: TransformerParams) -> OptimizerState:
     return OptimizerState(
-        cfg=opt_cfg,
-        m={name: np.zeros_like(arr) for name, arr in named_arrays(params)},
-        v={name: np.zeros_like(arr) for name, arr in named_arrays(params)},
+        cfg=opt_cfg, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat)
     )
 
 
@@ -322,37 +333,57 @@ def optimizer_step(
     epoch: int,
     trainable: set[str] | None = None,
 ):
-    """Apply one update in place. Arrays outside `trainable` (when given) are
-    left bit-identical, including their weight-decay term."""
+    """Apply one update in place. Only the spans of `params.flat` holding the
+    arrays in `trainable` (all arrays when None) are touched; the rest stays
+    bit-identical, including its weight-decay term.
+
+    Each span is updated in chunks of OPT_CHUNK elements. A chunk runs the
+    elementwise steps of the whole-array expressions
+    `p -= lr * (buf + wd * p)` (SGD, buf the momentum) and
+    `p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)` (AdamW) in their order,
+    so the result is bitwise that of updating each array at once.
+    """
     cfg = state.cfg
+    if grads.flat.shape != params.flat.shape:
+        raise DimensionError(
+            f"gradient buffer {grads.flat.shape} != parameter buffer {params.flat.shape}"
+        )
     lr = cfg.lr_at(epoch)
     state.step_count += 1
     t = state.step_count
-    for name, p in named_arrays(params):
-        if trainable is not None and name not in trainable:
-            continue
-        g = get_array(grads, name)
-        if g.shape != p.shape:
-            raise DimensionError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        if cfg.kind == "sgd_momentum":
-            buf = state.m[name]
-            buf *= cfg.momentum
-            buf += g
-            p -= lr * (buf + cfg.weight_decay * p)
-        else:
-            m = state.m[name]
-            v = state.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            m_hat = m / (1.0 - cfg.beta1**t)
-            v_hat = v / (1.0 - cfg.beta2**t)
-            p -= lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p)
-
-
-def default_pretrain_optimizer() -> OptimizerConfig:
-    return OptimizerConfig(kind="adamw", lr=1e-3)
+    key = frozenset(params.layout if trainable is None else trainable)
+    if key not in state.spans:
+        state.spans[key] = flat_spans(params, key)
+    c1 = 1.0 - cfg.beta1**t
+    c2 = 1.0 - cfg.beta2**t
+    for span_lo, span_hi in state.spans[key]:
+        for lo in range(span_lo, span_hi, OPT_CHUNK):
+            hi = min(lo + OPT_CHUNK, span_hi)
+            p, g, m = params.flat[lo:hi], grads.flat[lo:hi], state.m[lo:hi]
+            a, b = state.scratch[:, : hi - lo]
+            if cfg.kind == "sgd_momentum":
+                m *= cfg.momentum
+                m += g
+                np.multiply(p, cfg.weight_decay, out=a)
+                a += m
+            else:
+                v = state.v[lo:hi]
+                m *= cfg.beta1
+                np.multiply(g, 1.0 - cfg.beta1, out=a)
+                m += a
+                v *= cfg.beta2
+                np.multiply(g, 1.0 - cfg.beta2, out=a)
+                a *= g
+                v += a
+                np.divide(m, c1, out=a)
+                np.divide(v, c2, out=b)
+                np.sqrt(b, out=b)
+                b += cfg.eps
+                a /= b
+                np.multiply(p, cfg.weight_decay, out=b)
+                a += b
+            a *= lr
+            p -= a
 
 
 def two_phase_recipe() -> list[tuple[OptimizerConfig, int]]:
@@ -367,6 +398,9 @@ def two_phase_recipe() -> list[tuple[OptimizerConfig, int]]:
 
 
 # --- pre-training loop ------------------------------------------------------
+
+# Arrays of the heads that only fine-tuning trains.
+AUX_HEAD_PREFIXES = ("task_head_", "order_head_", "mistake_head_", "forecast.")
 
 
 @dataclass
@@ -421,6 +455,7 @@ def pretrain(
 
     Per epoch: seeded video shuffle, one mask per video, forward/loss/
     backward, optimizer step every `accumulate` videos (gradients averaged).
+    The steps update the backbone and the main head only.
     Masked-step accuracy compares argmax logits against the hard weak label.
     boundary_callback(epoch, params) fires after each epoch listed in the
     learning-rate schedule (checkpoint hook).
@@ -437,10 +472,16 @@ def pretrain(
     if params is None:
         params = init_params(model_cfg, seed)
     state = init_optimizer(opt_cfg, params)
+    # The backbone and the main head; the auxiliary heads get no gradient
+    # here, so they are left out of every step, weight decay included.
+    trainable = {name for name in params.layout if not name.startswith(AUX_HEAD_PREFIXES)}
     prepared = [MaskedBatch.from_video(v, ()) for v in videos]
 
     history: list[EpochStats] = []
     last_good = clone_params(params)
+    # Reused across videos: a fresh full-size buffer per step costs page faults.
+    grads = zeros_like_params(params)
+    pending = zeros_like_params(params)
     draw = 0
     for epoch in range(epochs):
         rng = np.random.default_rng([seed, 17, epoch])
@@ -449,7 +490,6 @@ def pretrain(
         losses = []
         correct = 0
         total = 0
-        pending = None
         pending_count = 0
         for vi in order:
             batch = prepared[vi]
@@ -475,26 +515,23 @@ def pretrain(
             wanted = np.array([batch.hard_targets[i] for i in mask])
             correct += int((preds == wanted).sum())
             total += len(mask)
-            grads = model_backward(params, model_cfg, trace, d_logits=d_logits)
+            grads.flat.fill(0.0)
+            model_backward(params, model_cfg, trace, d_logits=d_logits, grads=grads)
             if accumulate <= 1:
-                optimizer_step(state, params, grads, epoch)
+                optimizer_step(state, params, grads, epoch, trainable)
                 continue
-            if pending is None:
-                pending = grads
+            if pending_count:
+                pending.flat += grads.flat
             else:
-                for name, arr in named_arrays(grads):
-                    get_array(pending, name)[...] += arr
+                pending.flat[...] = grads.flat
             pending_count += 1
             if pending_count == accumulate:
-                for name, arr in named_arrays(pending):
-                    arr /= pending_count
-                optimizer_step(state, params, pending, epoch)
-                pending = None
+                pending.flat /= pending_count
+                optimizer_step(state, params, pending, epoch, trainable)
                 pending_count = 0
-        if pending is not None and pending_count:
-            for name, arr in named_arrays(pending):
-                arr /= pending_count
-            optimizer_step(state, params, pending, epoch)
+        if pending_count:
+            pending.flat /= pending_count
+            optimizer_step(state, params, pending, epoch, trainable)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -503,7 +540,7 @@ def pretrain(
                 lr=lr_now,
             )
         )
-        last_good = clone_params(params)
+        last_good.flat[...] = params.flat
         if boundary_callback is not None and any(b == epoch for b, _ in opt_cfg.schedule):
             boundary_callback(epoch, params)
     report = TrainReport(history, time.perf_counter() - start, config_digest, seed)

@@ -236,11 +236,15 @@ class TestJsonl:
             ("proc_rec", lambda r, k: r.update(target=57), "not a corpus task id"),
             ("mistake_step", lambda r, k: r.update(target=-1), "not a clip position"),
             ("mistake_step", lambda r, k: r.update(target=k), "not a clip position"),
+            ("mistake_order", lambda r, k: r.update(target="no"), "'no' is not true or false"),
+            ("mistake_order", lambda r, k: r.update(target=1), "1 is not true or false"),
+            ("long_term", lambda r, k: r.update(target=[1, 2]), "2 slots, not 5"),
         ],
         ids=[
             "negative_clip", "clip_past_end", "unknown_ref_video", "unknown_video_id",
             "label", "long_term_label", "long_term_scalar", "task_id",
             "negative_mistake_step", "mistake_step_past_end",
+            "mistake_order_string", "mistake_order_int", "long_term_slot_count",
         ],
     )
     def test_out_of_range_record_rejected(self, corpus, kind, edit, match, tmp_path):

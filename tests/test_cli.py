@@ -144,6 +144,19 @@ class TestCliPipeline:
         assert rc == 1
         assert "empty dataset" in caplog.text
 
+    def test_eval_truncated_checkpoint_exits_1(self, pipeline, caplog, capsys):
+        tmp_path, config = pipeline
+        cut = tmp_path / "ckpt" / "truncated.vtfm"
+        cut.write_bytes((tmp_path / "ckpt" / "pretrain.vtfm").read_bytes()[:-100])
+        rc = main([
+            "eval", str(config),
+            "--checkpoint", str(cut),
+            "--benchmark", str(tmp_path / "bench" / "proc_rec.test.jsonl"),
+        ])
+        assert rc == 1
+        assert "truncated.vtfm: file ends inside" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
     def test_unknown_config_key_exits_1(self, tmp_path, caplog):
         bad = tmp_path / "bad.json"
         bad.write_text('{"pretrain": {"nonsense": true}}')

@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from stepmask.errors import CapacityError, ConfigError, DimensionError, InvalidInput
+from stepmask.errors import CapacityError, ConfigError, DimensionError, InvalidInput, ParseError
 from stepmask.model import (
     ModelConfig,
     backward,
@@ -212,6 +215,42 @@ class TestCheckpoint:
         assert params_digest(loaded) == params_digest(p)
 
 
+def _with_config(data: bytes, **changes) -> bytes:
+    """A checkpoint's bytes with its embedded config JSON edited."""
+    (cfg_len,) = struct.unpack_from("<I", data, 8)
+    raw = json.dumps({**json.loads(data[12 : 12 + cfg_len]), **changes}).encode()
+    return data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + cfg_len :]
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda b: b[:6], "file ends inside the version at byte 4"),
+            (lambda b: b[:10], "file ends inside the config length at byte 8"),
+            (lambda b: b[:40], "file ends inside the config at byte 12"),
+            (lambda b: b[:-100], "file ends inside forecast.4.w at byte"),
+            (lambda b: _with_config(b, bogus=1), "bad model config .*bogus.* at byte 12"),
+            (lambda b: b"VTFN" + b[4:], "bad magic b'VTFN' at byte 0"),
+            (lambda b: _with_config(b, s=6), r"array head_w has shape \(16, 7\), expected \(16, 6\)"),
+            (lambda b: _with_config(b, d=32), "file too short for the .* parameters"),
+            (lambda b: b + b"\0", "1 trailing bytes at byte"),
+        ],
+        ids=[
+            "cut_6", "cut_10", "cut_in_config", "missing_last_100", "unknown_config_key",
+            "bad_magic", "config_shape_mismatch", "config_too_big", "trailing_byte",
+        ],
+    )
+    def test_damaged_file_raises_parse_error(self, cfg, params, tmp_path, damage, match):
+        path = tmp_path / "model.vtfm"
+        save_checkpoint(path, params, cfg)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ParseError, match=f"model.vtfm: {match}"):
+            load_checkpoint(path)
+        with pytest.raises(ParseError, match=r"at byte \d+$"):
+            load_checkpoint(path)
+
+
 class TestParamContainers:
     def test_clone_is_independent(self, cfg, params):
         c = clone_params(params)
@@ -227,3 +266,20 @@ class TestParamContainers:
         for name, arr in named_arrays(z):
             assert not arr.any()
             assert arr.shape == get_array(params, name).shape
+
+    def test_every_array_is_a_view_of_flat(self, cfg, params, tmp_path):
+        path = tmp_path / "model.vtfm"
+        save_checkpoint(path, params, cfg)
+        built = {
+            "init_params": init_params(cfg, seed=3),
+            "clone_params": clone_params(params),
+            "zeros_like_params": zeros_like_params(params),
+            "load_checkpoint": load_checkpoint(path)[0],
+        }
+        for how, p in built.items():
+            assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous, how
+            for name, (offset, shape) in p.layout.items():
+                arr = get_array(p, name)
+                assert arr.shape == shape, (how, name)
+                assert np.shares_memory(arr, p.flat[offset : offset + arr.size]), (how, name)
+            assert sum(a.size for _, a in named_arrays(p)) == p.flat.size, how

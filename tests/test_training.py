@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stepmask.corpus import CorpusConfig, generate_corpus
 from stepmask.errors import DivergenceError, InvalidInput, InvalidTarget
 from stepmask.model import (
     ModelConfig,
+    clone_params,
+    flat_spans,
     forward,
+    get_array,
     init_params,
     named_arrays,
     params_digest,
     softmax_logits,
+    zeros_like_params,
 )
 from stepmask.training import (
     MaskSpec,
     MaskedBatch,
+    OPT_CHUNK,
     OptimizerConfig,
     backward,
     batch_loss,
@@ -294,6 +300,86 @@ class TestOptimizer:
                 assert not np.array_equal(arr, before[name])
             else:
                 assert np.array_equal(arr, before[name]), name
+
+
+def reference_steps(opt, params, grad_steps, trainable):
+    """The per-array update, each whole-array expression at once: the
+    reference the chunked flat optimizer_step must equal bit for bit.
+    Returns the (m, v) buffers by array name."""
+    m = {name: np.zeros_like(arr) for name, arr in named_arrays(params)}
+    v = {name: np.zeros_like(arr) for name, arr in named_arrays(params)}
+    for t, grads in enumerate(grad_steps, start=1):
+        lr = opt.lr_at(t - 1)
+        for name, p in named_arrays(params):
+            if trainable is not None and name not in trainable:
+                continue
+            g = get_array(grads, name)
+            if opt.kind == "sgd_momentum":
+                buf = m[name]
+                buf *= opt.momentum
+                buf += g
+                p -= lr * (buf + opt.weight_decay * p)
+            else:
+                m[name] *= opt.beta1
+                m[name] += (1.0 - opt.beta1) * g
+                v[name] *= opt.beta2
+                v[name] += (1.0 - opt.beta2) * g * g
+                m_hat = m[name] / (1.0 - opt.beta1**t)
+                v_hat = v[name] / (1.0 - opt.beta2**t)
+                p -= lr * (m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * p)
+    return m, v
+
+
+# blocks.0.w_up and blocks.0.w_down (96 x 384) each hold more than one chunk.
+CHUNKED_CFG = ModelConfig(d_in=8, d=96, layers=1, heads=2, max_positions=4, s=5, num_tasks=2)
+CHUNKED_NAMES = list(init_params(CHUNKED_CFG, seed=0).layout)
+SPLIT_TRAINABLE = {"w_in", "blocks.0.w_up", "blocks.0.b_down", "head_b", "forecast.4.w"}
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+class TestChunkedOptimizer:
+    def test_layout_crosses_chunk_boundaries(self):
+        params = init_params(CHUNKED_CFG, seed=0)
+        assert params.blocks[0].w_up.size > OPT_CHUNK
+        assert params.flat.size > 3 * OPT_CHUNK
+        assert len(flat_spans(params, SPLIT_TRAINABLE)) == len(SPLIT_TRAINABLE)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["adamw", "sgd_momentum"]),
+        weight_decay=st.sampled_from([0.0, 0.05]),
+        trainable=st.none() | st.sets(st.sampled_from(CHUNKED_NAMES), min_size=1),
+        steps=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="adamw", weight_decay=0.05, trainable=SPLIT_TRAINABLE, steps=2, seed=0)
+    @example(kind="sgd_momentum", weight_decay=0.05, trainable=SPLIT_TRAINABLE, steps=2, seed=0)
+    def test_matches_per_array_reference_bitwise(self, kind, weight_decay, trainable, steps, seed):
+        opt = OptimizerConfig(
+            kind=kind, lr=0.01, weight_decay=weight_decay, schedule=[(1, 0.5)]
+        )
+        rng = np.random.default_rng(seed)
+        params = init_params(CHUNKED_CFG, seed=seed)
+        params.flat[...] += rng.normal(0.0, 0.1, params.flat.size)
+        grad_steps = []
+        for _ in range(steps):
+            grads = zeros_like_params(params)
+            grads.flat[...] = rng.normal(0.0, 1.0, grads.flat.size)
+            grads.flat[rng.random(grads.flat.size) < 0.1] = 0.0
+            grad_steps.append(grads)
+        reference = clone_params(params)
+        ref_m, ref_v = reference_steps(opt, reference, grad_steps, trainable)
+        state = init_optimizer(opt, params)
+        for epoch, grads in enumerate(grad_steps):
+            optimizer_step(state, params, grads, epoch, trainable=trainable)
+        assert _bits(params.flat) == _bits(reference.flat)
+        for name, (offset, _) in params.layout.items():
+            size = get_array(params, name).size
+            assert _bits(state.m[offset : offset + size]) == _bits(ref_m[name]), name
+            assert _bits(state.v[offset : offset + size]) == _bits(ref_v[name]), name
 
 
 @pytest.fixture(scope="module")
