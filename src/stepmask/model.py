@@ -572,8 +572,18 @@ def backward(
 
 def save_checkpoint(path, params: TransformerParams, cfg: ModelConfig, provenance: dict | None = None):
     """Binary checkpoint plus a JSON sidecar (`<path>.json`) with config and
-    provenance. The binary alone determines the checkpoint digest."""
+    provenance. The binary alone determines the checkpoint digest.
+
+    An existing checkpoint at `path` is unlinked, not truncated: ext4 starts
+    writing a file that was truncated to zero and rewritten out to disk when
+    it is closed, so an in-place overwrite waits on the disk."""
     cfg_bytes = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
+    sidecar_path = str(path) + ".json"
+    for stale in (path, sidecar_path):
+        try:
+            os.unlink(stale)
+        except FileNotFoundError:
+            pass
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -584,7 +594,7 @@ def save_checkpoint(path, params: TransformerParams, cfg: ModelConfig, provenanc
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
     sidecar = {"config": cfg.to_dict(), "provenance": provenance or {}}
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
 

@@ -205,6 +205,20 @@ class TestCheckpoint:
         save_checkpoint(b, params, cfg, provenance={"when": "later"})
         assert checkpoint_digest(a) == checkpoint_digest(b)
 
+    def test_save_replaces_rather_than_rewrites(self, cfg, params, tmp_path):
+        # A reader of the old checkpoint keeps its bytes: the file is
+        # unlinked and created anew, not truncated and rewritten in place.
+        path = tmp_path / "model.vtfm"
+        save_checkpoint(path, params, cfg, provenance={"when": "now"})
+        old = path.read_bytes()
+        other = init_params(cfg, seed=2)
+        with open(path, "rb") as reader:
+            save_checkpoint(path, other, cfg, provenance={"when": "later"})
+            assert reader.read() == old
+        loaded, _ = load_checkpoint(path)
+        assert params_digest(loaded) == params_digest(other)
+        assert "later" in (tmp_path / "model.vtfm.json").read_text()
+
     def test_full_preset_round_trips(self, tmp_path):
         pc = full_preset(s=9, num_tasks=4)
         p = init_params(pc, seed=0)
