@@ -50,15 +50,42 @@ def _splits(corpus: Corpus, seed: int):
     return {"train": train, "val": val, "test": test}
 
 
-def _write_train_report(report, reports_dir: Path, stem: str, config_digest: str):
+def _train_and_save(cfg: RunConfig, model_cfg, stem: str, run, provenance: dict):
+    """Train with `run() -> (params, report)`, then save `<stem>.vtfm` (its
+    provenance gets the wall time) and `<stem>_report.json`/`.csv`. On
+    divergence the last good parameters go to a checkpoint with the
+    `_lastgood` suffix before the error propagates. Returns the summary to
+    print and the last epoch's accuracy (None after zero epochs)."""
+    checkpoints_dir = Path(cfg.path("checkpoints_dir"))
+    checkpoints_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        params, report = run()
+    except DivergenceError as exc:
+        if exc.params is not None:
+            save_checkpoint(
+                checkpoints_dir / f"{stem}_lastgood.vtfm", exc.params, model_cfg,
+                provenance={"config_digest": cfg.digest(), "aborted": str(exc)},
+            )
+            logger.error("divergence: last-good checkpoint saved")
+        raise
+    ckpt_path = checkpoints_dir / f"{stem}.vtfm"
+    provenance = {**provenance, "wall_time": report.wall_time}
+    save_checkpoint(ckpt_path, params, model_cfg, provenance=provenance)
+    reports_dir = Path(cfg.path("reports_dir"))
     reports_dir.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    payload["config_digest"] = config_digest
-    with open(reports_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    with open(reports_dir / f"{stem}_report.json", "w", encoding="utf-8") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    with open(reports_dir / f"{stem}.csv", "w", encoding="utf-8") as fh:
+    with open(reports_dir / f"{stem}_report.csv", "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
+    last = report.epochs[-1] if report.epochs else None
+    summary = {
+        "checkpoint": str(ckpt_path),
+        "checkpoint_digest": checkpoint_digest(ckpt_path),
+        "final_loss": last.loss if last else None,
+        "config_digest": cfg.digest(),
+    }
+    return summary, last.masked_accuracy if last else None
 
 
 def cmd_gen_corpus(args) -> int:
@@ -125,9 +152,8 @@ def cmd_pretrain(args) -> int:
     model_cfg = _build_model_config(cfg, corpus)
     section = cfg.data["pretrain"]
     checkpoints_dir = Path(cfg.path("checkpoints_dir"))
-    checkpoints_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = checkpoints_dir / "pretrain.vtfm"
-    try:
+
+    def run():
         if section["recipe"] == "two-phase":
             params, reports = run_pretrain_recipe(
                 train_videos, corpus.vocab, model_cfg, cfg.mask_spec(),
@@ -135,8 +161,8 @@ def cmd_pretrain(args) -> int:
                 accumulate=int(section["accumulate"]),
                 reduction=section["reduction"], config_digest=cfg.digest(),
             )
-            report = reports[-1]
-        elif section["recipe"] in (None, "desk"):
+            return params, reports[-1]
+        if section["recipe"] in (None, "desk"):
             def at_boundary(epoch, snapshot):
                 save_checkpoint(
                     checkpoints_dir / f"pretrain_epoch{epoch:04d}.vtfm",
@@ -144,39 +170,21 @@ def cmd_pretrain(args) -> int:
                     provenance={"config_digest": cfg.digest(), "epoch": epoch},
                 )
 
-            params, report = pretrain(
+            return pretrain(
                 train_videos, corpus.vocab, model_cfg, cfg.mask_spec(),
                 section["loss"], cfg.pretrain_optimizer(), int(section["epochs"]),
                 cfg.seed, accumulate=int(section["accumulate"]),
                 reduction=section["reduction"], config_digest=cfg.digest(),
                 boundary_callback=at_boundary,
             )
-        else:
-            raise StepmaskError(f"pretrain.recipe: unknown recipe {section['recipe']!r}")
-    except DivergenceError as exc:
-        if exc.params is not None:
-            save_checkpoint(
-                checkpoints_dir / "pretrain_lastgood.vtfm", exc.params, model_cfg,
-                provenance={"config_digest": cfg.digest(), "aborted": str(exc)},
-            )
-            logger.error("divergence: last-good checkpoint saved")
-        raise
-    provenance = {
+        raise StepmaskError(f"pretrain.recipe: unknown recipe {section['recipe']!r}")
+
+    summary, accuracy = _train_and_save(cfg, model_cfg, "pretrain", run, {
         "config_digest": cfg.digest(),
         "corpus_digest": corpus.digest(),
         "loss": section["loss"],
-        "wall_time": report.wall_time,
-    }
-    save_checkpoint(ckpt_path, params, model_cfg, provenance=provenance)
-    _write_train_report(report, Path(cfg.path("reports_dir")), "pretrain_report", cfg.digest())
-    last = report.epochs[-1] if report.epochs else None
-    _emit({
-        "checkpoint": str(ckpt_path),
-        "checkpoint_digest": checkpoint_digest(ckpt_path),
-        "final_loss": last.loss if last else None,
-        "final_masked_accuracy": last.masked_accuracy if last else None,
-        "config_digest": cfg.digest(),
     })
+    _emit({**summary, "final_masked_accuracy": accuracy})
     return 0
 
 
@@ -191,39 +199,17 @@ def cmd_finetune(args) -> int:
     dataset = bm.read_benchmark_jsonl(train_path, corpus, source_split="train")
     if ft_cfg.use_task_label:
         attach_task_embeddings(dataset, corpus, default_embedder(corpus.cfg), model_cfg.d_in)
-    checkpoints_dir = Path(cfg.path("checkpoints_dir"))
-    checkpoints_dir.mkdir(parents=True, exist_ok=True)
-    out_path = checkpoints_dir / f"finetune_{ft_cfg.task_kind}.vtfm"
-    try:
-        tuned, report = finetune(params, model_cfg, ft_cfg, dataset, config_digest=cfg.digest())
-    except DivergenceError as exc:
-        if exc.params is not None:
-            save_checkpoint(
-                checkpoints_dir / f"finetune_{ft_cfg.task_kind}_lastgood.vtfm",
-                exc.params, model_cfg,
-                provenance={"config_digest": cfg.digest(), "aborted": str(exc)},
-            )
-            logger.error("divergence: last-good checkpoint saved")
-        raise
-    save_checkpoint(out_path, tuned, model_cfg, provenance={
-        "config_digest": cfg.digest(),
-        "corpus_digest": corpus.digest(),
-        "task": ft_cfg.task_kind,
-        "mode": ft_cfg.mode,
-        "wall_time": report.wall_time,
-    })
-    _write_train_report(
-        report, Path(cfg.path("reports_dir")), f"finetune_{ft_cfg.task_kind}_report", cfg.digest()
+    summary, accuracy = _train_and_save(
+        cfg, model_cfg, f"finetune_{ft_cfg.task_kind}",
+        lambda: finetune(params, model_cfg, ft_cfg, dataset, config_digest=cfg.digest()),
+        {
+            "config_digest": cfg.digest(),
+            "corpus_digest": corpus.digest(),
+            "task": ft_cfg.task_kind,
+            "mode": ft_cfg.mode,
+        },
     )
-    last = report.epochs[-1] if report.epochs else None
-    _emit({
-        "checkpoint": str(out_path),
-        "checkpoint_digest": checkpoint_digest(out_path),
-        "task": ft_cfg.task_kind,
-        "final_loss": last.loss if last else None,
-        "final_train_accuracy": last.masked_accuracy if last else None,
-        "config_digest": cfg.digest(),
-    })
+    _emit({**summary, "task": ft_cfg.task_kind, "final_train_accuracy": accuracy})
     return 0
 
 

@@ -468,24 +468,35 @@ def feature_sidecar_bytes(videos: list[VideoRecord]) -> bytes:
 
 
 def read_feature_sidecar(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
-    """Returns (d_in, {(video_hash, clip_index): float64 feature})."""
+    """Returns (d_in, {(video_hash, clip_index): float64 feature}). A file
+    that does not match the format, or that holds one clip twice, raises
+    ParseError naming the path and byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
+    header = 4 + 16
+    if len(data) < header:
+        raise ParseError(f"{path}: file ends inside the header at byte {len(data)}")
     if data[:4] != FEATURE_MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:4]!r}")
+        raise ParseError(f"{path}: bad magic {data[:4]!r} at byte 0")
     version, d_in, clip_count = struct.unpack_from("<IIQ", data, 4)
     if version != FEATURE_VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
-    offset = 4 + 16
+        raise ParseError(f"{path}: unsupported version {version} at byte 4")
     record = 12 + 4 * d_in
-    if len(data) != offset + record * clip_count:
-        raise ParseError(f"{path}: truncated feature sidecar")
+    end = header + record * clip_count
+    if len(data) < end:
+        raise ParseError(
+            f"{path}: file ends inside record {(len(data) - header) // record} at byte {len(data)}"
+        )
+    if len(data) > end:
+        raise ParseError(f"{path}: {len(data) - end} trailing bytes at byte {end}")
     table = {}
-    for _ in range(clip_count):
-        h, idx = struct.unpack_from("<QI", data, offset)
-        vec = np.frombuffer(data, dtype="<f4", count=d_in, offset=offset + 12)
-        table[(h, idx)] = vec.astype(np.float64)
-        offset += record
+    for at in range(header, end, record):
+        key = struct.unpack_from("<QI", data, at)
+        if key in table:
+            raise ParseError(
+                f"{path}: duplicate record for clip {key[1]} of video hash {key[0]:#x} at byte {at}"
+            )
+        table[key] = np.frombuffer(data, dtype="<f4", count=d_in, offset=at + 12).astype(np.float64)
     return d_in, table
 
 

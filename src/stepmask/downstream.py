@@ -7,15 +7,15 @@ pair per output slot, and how targets map to class indices and back.
 `_head_logits` runs the forward pass for both `predict` and the fine-tune
 loss, so evaluation always scores the logits training optimized.
 
-linear_probe trains only the kind's head; finetune also trains the
-transformer (input projection, blocks, mask/cls tokens, positional), never
+linear_probe trains only the kind's heads; finetune also trains the backbone
+(`model.backbone_names`: input projection, tokens, positional, blocks), never
 the other kinds' heads. Frozen arrays stay bit-identical: the optimizer
-skips them entirely, weight decay included.
+skips them entirely, weight decay included. The epoch loop is the one
+pre-training runs (`training._train_epochs`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,27 +23,19 @@ import numpy as np
 
 from .benchmarks import LONG_TERM_SLOTS, BenchmarkInstance, BenchmarkSet
 from .corpus import Corpus, project_to_feature_dim
-from .errors import ConfigError, DivergenceError, InvalidInput
+from .errors import ConfigError, InvalidInput
 from .model import (
     ModelConfig,
     TransformerParams,
+    backbone_names,
     backward as model_backward,
     clone_params,
-    flat_spans,
     forward,
     get_array,
     log_softmax,
-    named_arrays,
     softmax_logits,
-    zeros_like_params,
 )
-from .training import (
-    EpochStats,
-    OptimizerConfig,
-    TrainReport,
-    init_optimizer,
-    optimizer_step,
-)
+from .training import OptimizerConfig, TrainReport, _train_epochs
 from .weaklabel import TextEmbedder, embed_text
 
 
@@ -86,7 +78,6 @@ KIND_HEADS: dict[str, tuple[str, ...]] = {
     kind: tuple(name for pair in route.heads for name in pair)
     for kind, route in ROUTES.items()
 }
-ALL_HEAD_NAMES = frozenset(name for names in KIND_HEADS.values() for name in names)
 
 
 @dataclass
@@ -151,9 +142,7 @@ def attach_task_embeddings(bset: BenchmarkSet, corpus: Corpus, embedder: TextEmb
 def trainable_names(params: TransformerParams, cfg: FinetuneConfig) -> set[str]:
     names = set(KIND_HEADS[cfg.task_kind])
     if cfg.mode == "finetune":
-        names.update(
-            name for name, _ in named_arrays(params) if name not in ALL_HEAD_NAMES
-        )
+        names |= backbone_names(params.layout)
     return names
 
 
@@ -309,60 +298,21 @@ def finetune(
     config_digest: str = "",
 ) -> tuple[TransformerParams, TrainReport]:
     """Cross-entropy training of the kind head (and, in finetune mode, the
-    transformer) on a benchmark set, deterministic in cfg.seed."""
+    backbone) on a benchmark set, deterministic in cfg.seed."""
     if not dataset.instances:
         raise InvalidInput("empty dataset")
     if dataset.kind != cfg.task_kind:
         raise InvalidInput(
             f"dataset kind {dataset.kind!r} does not match config {cfg.task_kind!r}"
         )
-    start = time.perf_counter()
     params = clone_params(pretrained)
-    trainable = trainable_names(params, cfg)
     opt = OptimizerConfig(
         kind=cfg.optimizer, lr=cfg.lr, momentum=cfg.momentum,
         weight_decay=cfg.weight_decay, schedule=list(cfg.schedule),
     )
-    state = init_optimizer(opt, params)
-    grads = zeros_like_params(params)
-    # Only these spans of the gradient buffer are ever written.
-    touched = flat_spans(params, trainable if cfg.mode == "linear_probe" else params.layout)
-    history: list[EpochStats] = []
-    last_good = clone_params(params)
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, 19, epoch])
-        order = rng.permutation(len(dataset.instances))
-        losses = []
-        correct = 0
-        total = 0
-        for ii in order:
-            inst = dataset.instances[ii]
-            for lo, hi in touched:
-                grads.flat[lo:hi] = 0.0
-            try:
-                loss, c, t = _instance_loss_grads(params, mcfg, inst, cfg, grads)
-            except FloatingPointError as exc:
-                report = TrainReport(history, time.perf_counter() - start, config_digest, cfg.seed)
-                raise DivergenceError(
-                    f"epoch {epoch}: {exc}", params=last_good, report=report
-                ) from exc
-            if not np.isfinite(loss):
-                report = TrainReport(history, time.perf_counter() - start, config_digest, cfg.seed)
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}", params=last_good, report=report
-                )
-            losses.append(loss)
-            correct += c
-            total += t
-            optimizer_step(state, params, grads, epoch, trainable=trainable)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                loss=float(np.mean(losses)),
-                masked_accuracy=correct / total if total else 0.0,
-                lr=opt.lr_at(epoch),
-            )
-        )
-        last_good.flat[...] = params.flat
-    report = TrainReport(history, time.perf_counter() - start, config_digest, cfg.seed)
+    report = _train_epochs(
+        params, opt, trainable_names(params, cfg), len(dataset.instances),
+        lambda ii, grads: _instance_loss_grads(params, mcfg, dataset.instances[ii], cfg, grads),
+        cfg.epochs, cfg.seed, 19, config_digest=config_digest,
+    )
     return params, report

@@ -180,6 +180,13 @@ def param_layout(cfg: ModelConfig) -> Layout:
     return layout
 
 
+def backbone_names(layout: Layout) -> set[str]:
+    """The arrays every task shares: all that the layout lists before
+    `head_w`. Every later array belongs to an output head."""
+    names = list(layout)
+    return set(names[: names.index("head_w")])
+
+
 def _layout_size(layout: Layout) -> int:
     offset, shape = layout[next(reversed(layout))]
     return offset + math.prod(shape)

@@ -9,6 +9,7 @@ the number of masked positions; reduction="sum" keeps the plain sum.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .model import (
     ModelConfig,
     TransformerParams,
     backward as model_backward,
+    backbone_names,
     clone_params,
     flat_spans,
     forward,
@@ -71,6 +73,20 @@ def truncated_binomial_mean(k_clips: int, ratio: float) -> float:
 # --- losses -----------------------------------------------------------------
 
 
+def _masked_positions(targets, mask, reduction: str) -> tuple[list[int], int]:
+    """The sorted masked positions, each checked to have a target, and the
+    divisor `reduction` puts on the summed loss."""
+    if reduction not in ("mean", "sum"):
+        raise InvalidInput(f"unknown loss reduction {reduction!r}")
+    positions = sorted(set(mask))
+    if not positions:
+        raise InvalidInput("mask is empty")
+    for i in positions:
+        if i not in targets:
+            raise InvalidTarget(f"no target for masked position {i}")
+    return positions, len(positions) if reduction == "mean" else 1
+
+
 def step_classification_loss(
     trace: ForwardTrace,
     targets: dict[int, int],
@@ -81,13 +97,7 @@ def step_classification_loss(
 
     Returns (loss, gradient w.r.t. the full (T, S) logits array).
     """
-    positions = sorted(set(mask))
-    if not positions:
-        raise InvalidInput("mask is empty")
-    for i in positions:
-        if i not in targets:
-            raise InvalidTarget(f"no target for masked position {i}")
-    denom = len(positions) if reduction == "mean" else 1
+    positions, denom = _masked_positions(targets, mask, reduction)
     d_logits = np.zeros_like(trace.logits)
     loss = 0.0
     for i in positions:
@@ -118,13 +128,7 @@ def distribution_matching_loss(
 ) -> tuple[float, np.ndarray]:
     """KL divergence from the prediction to the target distribution at each
     masked position; zero-probability target entries contribute nothing."""
-    positions = sorted(set(mask))
-    if not positions:
-        raise InvalidInput("mask is empty")
-    for i in positions:
-        if i not in targets:
-            raise InvalidTarget(f"no target for masked position {i}")
-    denom = len(positions) if reduction == "mean" else 1
+    positions, denom = _masked_positions(targets, mask, reduction)
     d_logits = np.zeros_like(trace.logits)
     loss = 0.0
     for i in positions:
@@ -334,7 +338,7 @@ def optimizer_step(
     trainable: set[str] | None = None,
 ):
     """Apply one update in place. Only the spans of `params.flat` holding the
-    arrays in `trainable` (all arrays when None) are touched; the rest stays
+    arrays in `trainable` (all arrays when None) change; the rest stays
     bit-identical, including its weight-decay term.
 
     Each span is updated in chunks of OPT_CHUNK elements. A chunk runs the
@@ -397,10 +401,7 @@ def two_phase_recipe() -> list[tuple[OptimizerConfig, int]]:
     return [(phase1, 20), (phase2, 15)]
 
 
-# --- pre-training loop ------------------------------------------------------
-
-# Arrays of the heads that only fine-tuning trains.
-AUX_HEAD_PREFIXES = ("task_head_", "order_head_", "mistake_head_", "forecast.")
+# --- training loop ----------------------------------------------------------
 
 
 @dataclass
@@ -435,6 +436,94 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
+def _train_epochs(
+    params: TransformerParams,
+    opt_cfg: OptimizerConfig,
+    trainable: set[str],
+    count: int,
+    step,
+    epochs: int,
+    seed: int,
+    salt: int,
+    *,
+    accumulate: int = 1,
+    config_digest: str = "",
+    boundary_callback=None,
+) -> TrainReport:
+    """The epoch loop of pre-training and fine-tuning; updates `params` in
+    place.
+
+    Each epoch visits the `count` items in an order drawn from
+    [seed, salt, epoch]. `step(i, grads)` writes item i's gradients into
+    `grads`, whose trainable spans are zeroed first, and returns (loss,
+    correct, total), or None to skip the item. The optimizer steps on the
+    trainable arrays every `accumulate` items, with their mean gradient. A
+    FloatingPointError or a non-finite loss raises DivergenceError carrying
+    the parameters after the last whole epoch and the report so far.
+    boundary_callback(epoch, params) fires after each epoch the learning-rate
+    schedule lists (checkpoint hook).
+    """
+    start = time.perf_counter()
+    state = init_optimizer(opt_cfg, params)
+    spans = flat_spans(params, trainable)
+    # Reused across items: a fresh full-size buffer per step costs page faults.
+    grads = zeros_like_params(params)
+    pending = zeros_like_params(params) if accumulate > 1 else None
+    last_good = clone_params(params)
+    history: list[EpochStats] = []
+
+    def diverged(message: str) -> DivergenceError:
+        report = TrainReport(history, time.perf_counter() - start, config_digest, seed)
+        return DivergenceError(message, params=last_good, report=report)
+
+    for epoch in range(epochs):
+        order = np.random.default_rng([seed, salt, epoch]).permutation(count)
+        losses = []
+        correct = total = pending_count = 0
+        for i in order:
+            for lo, hi in spans:
+                grads.flat[lo:hi] = 0.0
+            try:
+                result = step(i, grads)
+            except FloatingPointError as exc:
+                raise diverged(f"epoch {epoch}: {exc}") from exc
+            if result is None:
+                continue
+            loss, c, t = result
+            if not np.isfinite(loss):
+                raise diverged(f"non-finite loss at epoch {epoch}")
+            losses.append(loss)
+            correct += c
+            total += t
+            if pending is None:
+                optimizer_step(state, params, grads, epoch, trainable)
+                continue
+            if pending_count:
+                pending.flat += grads.flat
+            else:
+                pending.flat[...] = grads.flat
+            pending_count += 1
+            if pending_count == accumulate:
+                pending.flat /= pending_count
+                optimizer_step(state, params, pending, epoch, trainable)
+                pending_count = 0
+        if pending_count:
+            pending.flat /= pending_count
+            optimizer_step(state, params, pending, epoch, trainable)
+        history.append(
+            EpochStats(
+                epoch=epoch,
+                loss=float(np.mean(losses)) if losses else float("nan"),
+                masked_accuracy=correct / total if total else 0.0,
+                lr=opt_cfg.lr_at(epoch),
+            )
+        )
+        last_good.flat[...] = params.flat
+        if boundary_callback is not None and any(b == epoch for b, _ in opt_cfg.schedule):
+            boundary_callback(epoch, params)
+    return TrainReport(history, time.perf_counter() - start, config_digest, seed)
+
+
 def pretrain(
     videos: list[VideoRecord],
     vocab,
@@ -455,10 +544,10 @@ def pretrain(
 
     Per epoch: seeded video shuffle, one mask per video, forward/loss/
     backward, optimizer step every `accumulate` videos (gradients averaged).
-    The steps update the backbone and the main head only.
-    Masked-step accuracy compares argmax logits against the hard weak label.
-    boundary_callback(epoch, params) fires after each epoch listed in the
-    learning-rate schedule (checkpoint hook).
+    The steps update the backbone and the main head only; the other heads
+    get no gradient here. Masked-step accuracy compares argmax logits against
+    the hard weak label. boundary_callback(epoch, params) fires after each
+    epoch listed in the learning-rate schedule (checkpoint hook).
     """
     if not videos:
         raise InvalidInput("empty corpus")
@@ -467,83 +556,31 @@ def pretrain(
     for v in videos:
         if v.K > model_cfg.max_positions:
             raise InvalidInput(f"video {v.video_id} has {v.K} clips > capacity")
+    if accumulate < 1:
+        raise InvalidInput(f"accumulate must be >= 1, got {accumulate}")
 
-    start = time.perf_counter()
     if params is None:
         params = init_params(model_cfg, seed)
-    state = init_optimizer(opt_cfg, params)
-    # The backbone and the main head; the auxiliary heads get no gradient
-    # here, so they are left out of every step, weight decay included.
-    trainable = {name for name in params.layout if not name.startswith(AUX_HEAD_PREFIXES)}
     prepared = [MaskedBatch.from_video(v, ()) for v in videos]
+    draws = itertools.count()
 
-    history: list[EpochStats] = []
-    last_good = clone_params(params)
-    # Reused across videos: a fresh full-size buffer per step costs page faults.
-    grads = zeros_like_params(params)
-    pending = zeros_like_params(params)
-    draw = 0
-    for epoch in range(epochs):
-        rng = np.random.default_rng([seed, 17, epoch])
-        order = rng.permutation(len(videos))
-        lr_now = opt_cfg.lr_at(epoch)
-        losses = []
-        correct = 0
-        total = 0
-        pending_count = 0
-        for vi in order:
-            batch = prepared[vi]
-            mask = sample_mask(batch.clip_features.shape[0], mask_spec, draw)
-            draw += 1
-            if not mask:
-                continue
-            batch.mask = mask
-            try:
-                loss, d_logits, trace = batch_loss(params, model_cfg, batch, loss_kind, reduction)
-            except FloatingPointError as exc:
-                report = TrainReport(history, time.perf_counter() - start, config_digest, seed)
-                raise DivergenceError(
-                    f"epoch {epoch}: {exc}", params=last_good, report=report
-                ) from exc
-            if not np.isfinite(loss):
-                report = TrainReport(history, time.perf_counter() - start, config_digest, seed)
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}", params=last_good, report=report
-                )
-            losses.append(loss)
-            preds = np.argmax(trace.logits[[trace.offset + i for i in mask]], axis=1)
-            wanted = np.array([batch.hard_targets[i] for i in mask])
-            correct += int((preds == wanted).sum())
-            total += len(mask)
-            grads.flat.fill(0.0)
-            model_backward(params, model_cfg, trace, d_logits=d_logits, grads=grads)
-            if accumulate <= 1:
-                optimizer_step(state, params, grads, epoch, trainable)
-                continue
-            if pending_count:
-                pending.flat += grads.flat
-            else:
-                pending.flat[...] = grads.flat
-            pending_count += 1
-            if pending_count == accumulate:
-                pending.flat /= pending_count
-                optimizer_step(state, params, pending, epoch, trainable)
-                pending_count = 0
-        if pending_count:
-            pending.flat /= pending_count
-            optimizer_step(state, params, pending, epoch, trainable)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                loss=float(np.mean(losses)) if losses else float("nan"),
-                masked_accuracy=correct / total if total else 0.0,
-                lr=lr_now,
-            )
-        )
-        last_good.flat[...] = params.flat
-        if boundary_callback is not None and any(b == epoch for b, _ in opt_cfg.schedule):
-            boundary_callback(epoch, params)
-    report = TrainReport(history, time.perf_counter() - start, config_digest, seed)
+    def step(vi, grads):
+        batch = prepared[vi]
+        mask = sample_mask(batch.clip_features.shape[0], mask_spec, next(draws))
+        if not mask:
+            return None
+        batch.mask = mask
+        loss, d_logits, trace = batch_loss(params, model_cfg, batch, loss_kind, reduction)
+        preds = np.argmax(trace.logits[[trace.offset + i for i in mask]], axis=1)
+        wanted = np.array([batch.hard_targets[i] for i in mask])
+        model_backward(params, model_cfg, trace, d_logits=d_logits, grads=grads)
+        return loss, int((preds == wanted).sum()), len(mask)
+
+    report = _train_epochs(
+        params, opt_cfg, backbone_names(params.layout) | {"head_w", "head_b"},
+        len(videos), step, epochs, seed, 17, accumulate=accumulate,
+        config_digest=config_digest, boundary_callback=boundary_callback,
+    )
     return params, report
 
 

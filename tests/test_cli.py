@@ -6,6 +6,7 @@ import pytest
 from stepmask.cli import main
 from stepmask.config import RunConfig
 from stepmask.errors import ConfigError
+from stepmask.model import checkpoint_digest
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -155,6 +156,37 @@ class TestCliPipeline:
         ])
         assert rc == 1
         assert "truncated.vtfm: file ends inside" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+    def test_pretrain_divergence_exits_2_with_lastgood(self, pipeline, caplog):
+        tmp_path, config = pipeline
+        rc = main([
+            "pretrain", str(config),
+            "--set", "pretrain.optimizer.kind=sgd_momentum", "--set", "pretrain.optimizer.lr=1e18",
+        ])
+        assert rc == 2
+        assert (tmp_path / "ckpt" / "pretrain_lastgood.vtfm").exists()
+        assert "last-good checkpoint saved" in caplog.text
+
+    def test_finetune_divergence_exits_2_with_pretrained_lastgood(self, pipeline):
+        tmp_path, config = pipeline
+        rc = main([
+            "finetune", str(config), "--task", "mistake_order",
+            "--set", "finetune.optimizer=sgd_momentum", "--set", "finetune.lr=1e18",
+        ])
+        assert rc == 2
+        # It diverges in its first epoch, so the last good weights are the input's.
+        lastgood = tmp_path / "ckpt" / "finetune_mistake_order_lastgood.vtfm"
+        assert checkpoint_digest(lastgood) == checkpoint_digest(tmp_path / "ckpt" / "pretrain.vtfm")
+        assert not (tmp_path / "ckpt" / "finetune_mistake_order.vtfm").exists()
+
+    def test_short_feature_sidecar_exits_1(self, tmp_path, caplog, capsys):
+        config = write_config(tmp_path)
+        assert main(["gen-corpus", str(config)]) == 0
+        sidecar = tmp_path / "corpus" / "features.stpf"
+        sidecar.write_bytes(sidecar.read_bytes()[:10])
+        assert main(["pretrain", str(config)]) == 1
+        assert "features.stpf: file ends inside the header at byte 10" in caplog.text
         assert "Traceback" not in capsys.readouterr().err + caplog.text
 
     def test_unknown_config_key_exits_1(self, tmp_path, caplog):

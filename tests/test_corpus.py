@@ -14,6 +14,7 @@ from stepmask.corpus import (
     load_annotations,
     load_corpus,
     quantize_f32,
+    read_feature_sidecar,
     sample_video,
     save_corpus,
     split_corpus,
@@ -244,6 +245,46 @@ class TestFiles:
         for v in loaded.videos:
             for c in v.clips:
                 assert np.array_equal(c.feature, quantize_f32(protos[c.truth]))
+
+
+class TestFeatureSidecar:
+    HEADER = 20
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg = small_config()
+        save_corpus(generate_corpus(cfg), tmp_path)
+        return tmp_path / "features.stpf", 12 + 4 * cfg.feature_dim
+
+    @pytest.mark.parametrize("keep", [0, 3, 10, 19])
+    def test_short_header(self, saved, keep):
+        path, _ = saved
+        path.write_bytes(path.read_bytes()[:keep])
+        message = rf"features.stpf: file ends inside the header at byte {keep}$"
+        with pytest.raises(ParseError, match=message):
+            read_feature_sidecar(path)
+
+    def test_truncated_and_trailing_records(self, saved):
+        path, _ = saved
+        data = path.read_bytes()
+        path.write_bytes(data[:-5])
+        with pytest.raises(ParseError, match=rf"ends inside record \d+ at byte {len(data) - 5}$"):
+            read_feature_sidecar(path)
+        path.write_bytes(data + b"\0" * 3)
+        with pytest.raises(ParseError, match=rf"3 trailing bytes at byte {len(data)}$"):
+            read_feature_sidecar(path)
+
+    def test_duplicate_record_rejected(self, saved):
+        path, record = saved
+        data = bytearray(path.read_bytes())
+        first = slice(self.HEADER, self.HEADER + record)
+        data[self.HEADER + record : self.HEADER + 2 * record] = data[first]
+        path.write_bytes(bytes(data))
+        at = self.HEADER + record
+        with pytest.raises(ParseError, match=rf"duplicate record for clip 0 .* at byte {at}$"):
+            read_feature_sidecar(path)
+        with pytest.raises(ParseError, match=rf"features.stpf: duplicate .* at byte {at}$"):
+            load_corpus(path.parent)
 
 
 class TestSplit:

@@ -15,8 +15,9 @@ from stepmask.downstream import (
     _count_correct,
     _instance_loss_grads,
 )
-from stepmask.errors import ConfigError, InvalidInput
+from stepmask.errors import ConfigError, DivergenceError, InvalidInput
 from stepmask.model import (
+    backbone_names,
     clone_params,
     desk_preset,
     forward,
@@ -116,6 +117,27 @@ class TestHeadTable:
                 assert abs(a - numeric) / max(1e-6, abs(a) + abs(numeric)) < 1e-5, (name, c)
 
 
+class TestBackboneHeadSplit:
+    def test_backbone_and_route_heads_partition_the_layout(self, mcfg):
+        layout = init_params(mcfg, seed=0).layout
+        backbone = backbone_names(layout)
+        heads = {name for names in KIND_HEADS.values() for name in names}
+        assert backbone | heads == set(layout)
+        assert not backbone & heads
+
+    def test_pretraining_leaves_other_heads_bitwise_unchanged(self, corpus, mcfg):
+        init = init_params(mcfg, seed=2)
+        params, _ = pretrain(
+            corpus.videos, corpus.vocab, mcfg, MaskSpec(ratio=0.25, seed=1), "sc",
+            OptimizerConfig(kind="sgd_momentum", lr=1e-2, weight_decay=1e-4), epochs=2, seed=2,
+        )
+        others = set(params.layout) - backbone_names(params.layout) - {"head_w", "head_b"}
+        assert len(others) == 16
+        for name in params.layout:
+            same = get_array(params, name).tobytes() == get_array(init, name).tobytes()
+            assert same == (name in others), name
+
+
 class TestTaskLabelToken:
     def test_embedding_deterministic(self, corpus):
         emb = default_embedder(corpus.cfg)
@@ -185,6 +207,20 @@ class TestFinetune:
                 assert name in allowed, name
         assert np.array_equal(tuned.head_w, pretrained.head_w)
         assert np.array_equal(tuned.mistake_head_w, pretrained.mistake_head_w)
+
+    @pytest.mark.parametrize(
+        "errors", [{"over": "raise", "invalid": "raise", "divide": "raise"}, {"all": "ignore"}]
+    )
+    def test_divergence_returns_pretrained_weights(self, corpus, mcfg, pretrained, errors):
+        # The run ends in its first epoch, so the weights of the last whole
+        # epoch are the input's, whether numpy raises or not.
+        bset = build_benchmark_set("proc_rec", corpus.videos, corpus, seed=5)
+        cfg = FinetuneConfig(task_kind="proc_rec", epochs=3, lr=1e18)
+        with np.errstate(**errors), pytest.raises(DivergenceError, match="epoch 0") as exc_info:
+            finetune(pretrained, mcfg, cfg, bset)
+        assert params_digest(exc_info.value.params) == params_digest(pretrained)
+        assert exc_info.value.report is not None
+        assert exc_info.value.report.epochs == []
 
     def test_kind_mismatch_rejected(self, corpus, mcfg, pretrained):
         bset = build_benchmark_set("proc_rec", corpus.videos, corpus, seed=5)

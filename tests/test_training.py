@@ -33,6 +33,7 @@ from stepmask.training import (
     sample_mask,
     step_classification_loss,
     truncated_binomial_mean,
+    _train_epochs,
 )
 from stepmask.weaklabel import LabelDistribution, truncate_topk
 
@@ -154,6 +155,13 @@ class TestStepClassificationLoss:
         for row in range(grad.shape[0]):
             if row != masked_row:
                 assert not grad[row].any()
+
+
+@pytest.mark.parametrize("reduction", ["meen", "none", "MEAN", ""])
+@pytest.mark.parametrize("loss_kind", ["sc", "dm"])
+def test_unknown_reduction_rejected(cfg, params, loss_kind, reduction):
+    with pytest.raises(InvalidInput, match="reduction"):
+        batch_loss(params, cfg, make_batch(cfg), loss_kind, reduction=reduction)
 
 
 class TestDistributionMatchingLoss:
@@ -440,6 +448,17 @@ class TestPretrain:
         assert exc_info.value.params is not None
         assert exc_info.value.report is not None
 
+    @pytest.mark.parametrize(
+        "bad", [{"reduction": "meen"}, {"accumulate": 0}, {"accumulate": -2}]
+    )
+    def test_bad_reduction_or_accumulate_rejected(self, tiny_corpus, bad):
+        with pytest.raises(InvalidInput):
+            pretrain(
+                tiny_corpus.videos, tiny_corpus.vocab, self._model_cfg(tiny_corpus),
+                MaskSpec(ratio=0.3, seed=1), "sc", OptimizerConfig(kind="adamw", lr=1e-3),
+                epochs=1, seed=7, **bad,
+            )
+
     def test_accumulation_changes_step_granularity_only(self, tiny_corpus):
         mcfg = self._model_cfg(tiny_corpus)
         kwargs = dict(
@@ -452,6 +471,51 @@ class TestPretrain:
         assert params_digest(p1) != params_digest(p2)  # different but both finite
         for _, arr in named_arrays(p2):
             assert np.all(np.isfinite(arr))
+
+
+class TestSharedLoop:
+    def test_skips_zeroing_and_nonfinite_loss(self, cfg):
+        params = init_params(cfg, seed=0)
+        init = clone_params(params)
+        calls, snapshots = [], []
+
+        def step(i, grads):
+            assert not grads.head_b.any()  # trainable spans are zeroed per item
+            calls.append(int(i))
+            if len(calls) == 1:
+                return None
+            if len(calls) > 3:
+                return float("nan"), 0, 1
+            grads.head_b[...] = 1.0
+            return 2.0, 1, 2
+
+        opt = OptimizerConfig(kind="sgd_momentum", lr=0.1, schedule=[(0, 1.0)])
+        with pytest.raises(DivergenceError, match="^non-finite loss at epoch 1$") as exc_info:
+            _train_epochs(
+                params, opt, {"head_b"}, 3, step, 5, seed=0, salt=17,
+                boundary_callback=lambda epoch, p: snapshots.append(clone_params(p)),
+            )
+        err = exc_info.value
+        assert sorted(calls[:3]) == [0, 1, 2]
+        assert [(e.epoch, e.loss, e.masked_accuracy) for e in err.report.epochs] == [(0, 2.0, 0.5)]
+        assert params_digest(err.params) == params_digest(snapshots[0])
+        changed = {
+            name for name, arr in named_arrays(err.params)
+            if not np.array_equal(arr, get_array(init, name))
+        }
+        assert changed == {"head_b"}
+
+    def test_floating_point_error_in_step_diverges(self, cfg):
+        params = init_params(cfg, seed=0)
+
+        def step(i, grads):
+            raise FloatingPointError("overflow encountered in matmul")
+
+        opt = OptimizerConfig(kind="adamw", lr=1e-3)
+        with pytest.raises(DivergenceError, match="^epoch 0: overflow") as exc_info:
+            _train_epochs(params, opt, {"head_b"}, 2, step, 1, seed=0, salt=17)
+        assert params_digest(exc_info.value.params) == params_digest(init_params(cfg, seed=0))
+        assert exc_info.value.report.epochs == []
 
 
 class TestRecipesAndCallbacks:
