@@ -105,8 +105,8 @@ def cmd_gen_benchmarks(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds = args.kinds.split(",") if args.kinds else (cfg.data["benchmarks"]["kinds"] or list(bm.KINDS))
     splits = _splits(corpus, cfg.seed)
-    per_video = int(cfg.data["benchmarks"]["instances_per_video"])
-    same_task = bool(cfg.data["benchmarks"]["same_task_donor"])
+    per_video = cfg.data["benchmarks"]["instances_per_video"]
+    same_task = cfg.data["benchmarks"]["same_task_donor"]
     summary = []
     for kind in kinds:
         for split_name, videos in splits.items():
@@ -158,26 +158,25 @@ def cmd_pretrain(args) -> int:
             params, reports = run_pretrain_recipe(
                 train_videos, corpus.vocab, model_cfg, cfg.mask_spec(),
                 section["loss"], two_phase_recipe(), cfg.seed,
-                accumulate=int(section["accumulate"]),
+                accumulate=section["accumulate"],
                 reduction=section["reduction"], config_digest=cfg.digest(),
             )
             return params, reports[-1]
-        if section["recipe"] in (None, "desk"):
-            def at_boundary(epoch, snapshot):
-                save_checkpoint(
-                    checkpoints_dir / f"pretrain_epoch{epoch:04d}.vtfm",
-                    snapshot, model_cfg,
-                    provenance={"config_digest": cfg.digest(), "epoch": epoch},
-                )
 
-            return pretrain(
-                train_videos, corpus.vocab, model_cfg, cfg.mask_spec(),
-                section["loss"], cfg.pretrain_optimizer(), int(section["epochs"]),
-                cfg.seed, accumulate=int(section["accumulate"]),
-                reduction=section["reduction"], config_digest=cfg.digest(),
-                boundary_callback=at_boundary,
+        def at_boundary(epoch, snapshot):
+            save_checkpoint(
+                checkpoints_dir / f"pretrain_epoch{epoch:04d}.vtfm",
+                snapshot, model_cfg,
+                provenance={"config_digest": cfg.digest(), "epoch": epoch},
             )
-        raise StepmaskError(f"pretrain.recipe: unknown recipe {section['recipe']!r}")
+
+        return pretrain(
+            train_videos, corpus.vocab, model_cfg, cfg.mask_spec(),
+            section["loss"], cfg.pretrain_optimizer(), section["epochs"],
+            cfg.seed, accumulate=section["accumulate"],
+            reduction=section["reduction"], config_digest=cfg.digest(),
+            boundary_callback=at_boundary,
+        )
 
     summary, accuracy = _train_and_save(cfg, model_cfg, "pretrain", run, {
         "config_digest": cfg.digest(),
@@ -221,11 +220,9 @@ def cmd_eval(args) -> int:
     parts = path.name.split(".")
     split = parts[1] if len(parts) == 3 else "file"
     dataset = bm.read_benchmark_jsonl(path, corpus, source_split=split)
-    use_task_label = (
-        args.use_task_label
-        if args.use_task_label is not None
-        else bool(cfg.data["finetune"]["use_task_label"])
-    )
+    use_task_label = args.use_task_label
+    if use_task_label is None:
+        use_task_label = cfg.data["finetune"]["use_task_label"]
     if use_task_label:
         attach_task_embeddings(dataset, corpus, default_embedder(corpus.cfg), model_cfg.d_in)
     report = evaluate(

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     VocabularyMismatch,
 )
+from .schema import from_json
 from .weaklabel import (
     LabelDistribution,
     StepVocabulary,
@@ -81,6 +82,11 @@ class CorpusConfig:
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
+        if min(self.num_tasks, self.videos_per_task) < 1:
+            raise ConfigError("num_tasks and videos_per_task must be >= 1")
+        ratios = self.split_ratios
+        if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"split_ratios must be 3 non-negative numbers summing to 1, got {ratios}")
         lo, hi = self.steps_range()
         if lo < 2:
             raise ConfigError("steps_per_task must be >= 2")
@@ -607,19 +613,18 @@ def load_corpus(corpus_dir) -> Corpus:
     from pathlib import Path
 
     d = Path(corpus_dir)
-    with open(d / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("config") is None:
-        raise ParseError(f"{d}/manifest.json: missing config")
-    cfg_dict = dict(manifest["config"])
-    if isinstance(cfg_dict.get("steps_per_task"), list):
-        cfg_dict["steps_per_task"] = tuple(cfg_dict["steps_per_task"])
-    if isinstance(cfg_dict.get("split_ratios"), list):
-        cfg_dict["split_ratios"] = tuple(cfg_dict["split_ratios"])
+    path = d / "manifest.json"
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
     try:
-        cfg = CorpusConfig(**cfg_dict)
-    except TypeError as exc:
-        raise ParseError(f"{d}/manifest.json: config: {exc}") from exc
+        cfg = from_json(CorpusConfig, manifest.get("config"), "config")
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     embedder = default_embedder(cfg)
     vocab = StepVocabulary.from_json_file(d / "vocab.json", embedder)
     features = d / "features.stpf"

@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     TraceError,
 )
+from .schema import from_json
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -57,14 +58,12 @@ class ModelConfig:
     use_positional: bool = True
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError("layers must be >= 1")
+        if min(self.d_in, self.d, self.layers, self.heads, self.max_positions, self.s, self.num_tasks) < 1:
+            raise ConfigError("d_in, d, layers, heads, max_positions, s, num_tasks must be >= 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"hidden width {self.d} not divisible by {self.heads} heads")
         if self.mlp_hidden < 1:
             raise ConfigError("mlp_ratio too small")
-        if min(self.d_in, self.max_positions, self.s, self.num_tasks) < 1:
-            raise ConfigError("d_in, max_positions, s, num_tasks must be >= 1")
 
     @property
     def mlp_hidden(self) -> int:
@@ -75,7 +74,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return from_json(cls, d)
 
 
 def desk_preset(d_in: int, s: int, num_tasks: int, max_positions: int = 16) -> ModelConfig:
@@ -633,7 +632,7 @@ def load_checkpoint(path) -> tuple[TransformerParams, ModelConfig]:
         raw_cfg = read(cfg_len, "the config")
         try:
             cfg = ModelConfig.from_dict(json.loads(raw_cfg.decode("utf-8")))
-        except (ValueError, TypeError, ArithmeticError, ConfigError) as exc:
+        except (ValueError, ArithmeticError, ConfigError) as exc:
             raise fail(f"bad model config ({exc})", 12) from exc
         layout = param_layout(cfg)
         flat_size = _layout_size(layout)

@@ -298,11 +298,6 @@ class OptimizerConfig:
                 lr *= mult
         return lr
 
-    def to_dict(self) -> dict:
-        d = dict(vars(self))
-        d["schedule"] = [list(e) for e in self.schedule]
-        return d
-
 
 # Elements per chunk of the optimizer update. The chunk's slices of the
 # parameter, gradient and moment buffers plus two scratch rows of this size
@@ -463,6 +458,8 @@ def _train_epochs(
     boundary_callback(epoch, params) fires after each epoch the learning-rate
     schedule lists (checkpoint hook).
     """
+    if epochs < 0:
+        raise InvalidInput(f"epochs must be >= 0, got {epochs}")
     start = time.perf_counter()
     state = init_optimizer(opt_cfg, params)
     spans = flat_spans(params, trainable)

@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from stepmask.cli import main
-from stepmask.config import RunConfig
+from stepmask.config import DEFAULTS, TYPES, RunConfig
 from stepmask.errors import ConfigError
 from stepmask.model import checkpoint_digest
 
@@ -79,6 +80,108 @@ class TestRunConfig:
         assert (
             pinned.corpus_config().seed, pinned.mask_spec().seed, pinned.finetune_config().seed
         ) == (5, 6, 7)
+
+
+class TestConfigSchema:
+    def test_pinned_digests(self, tmp_path):
+        assert RunConfig({}).digest() == (
+            "98c22ee5959f92a077fe78a94683df124790a7a5741b2d87ba2e688c2a5b143d"
+        )
+        assert RunConfig.load(write_config(tmp_path)).digest() == (
+            "56abfefdba27b1cb488a42ce111e14d6dac5dc75b0fd2e913149504c11abbcc0"
+        )
+
+    def test_every_default_key_rejects_a_wrong_json_type(self):
+        wrong = {bool: 1, int: True, float: "0.5", str: 1, list: "x", type(None): []}
+
+        def leaves(node, prefix=()):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, (*prefix, key))
+                else:
+                    yield (*prefix, key), value
+
+        checked = 0
+        for path, default in leaves(DEFAULTS):
+            data = wrong[type(default)]
+            for key in reversed(path):
+                data = {key: data}
+            with pytest.raises(ConfigError, match=rf"^{re.escape('.'.join(path))}: expected"):
+                RunConfig(data)
+            checked += 1
+        assert checked == 42
+
+    def test_values_are_checked_not_converted(self):
+        cfg = RunConfig({"finetune": {"lr": 1}, "corpus": {"steps_per_task": [4, 6]}})
+        assert type(cfg.data["finetune"]["lr"]) is int
+        assert type(cfg.finetune_config().lr) is int
+        assert cfg.data["corpus"]["steps_per_task"] == [4, 6]
+        assert cfg.corpus_config().steps_per_task == (4, 6)
+
+    def test_readme_config_matches_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        data = json.loads(re.sub(r"//.*", "", block))
+        cfg = RunConfig(data)
+
+        def same_keys(types, section, where):
+            assert set(section) == set(types), where
+            for key, tp in types.items():
+                if isinstance(tp, dict):
+                    same_keys(tp, section[key], f"{where}.{key}")
+
+        same_keys(TYPES, data, "config")
+        # The documented values build, too.
+        cfg.corpus_config(), cfg.mask_spec(), cfg.pretrain_optimizer(), cfg.finetune_config()
+
+
+# Each run exits 1 with a log line naming the key (or the file); none may show
+# a traceback. `damage` rewrites the corpus manifest generated beforehand.
+CONFIG_DEFECTS = {
+    "seed_string": ("gen-corpus", 'seed="a"', None, "seed: expected int, got 'a'"),
+    "seed_object": ("gen-corpus", "seed.x=1", None, "seed: expected int"),
+    "steps_list_of_one": ("gen-corpus", "corpus.steps_per_task=[3]", None, "corpus.steps_per_task"),
+    "mask_ratio_string": ("pretrain", 'mask.ratio="x"', None, "mask.ratio: expected float"),
+    "model_d_string": ("pretrain", 'model.d="64"', None, "model.d: expected int"),
+    "lr_string": ("pretrain", 'pretrain.optimizer.lr="1e-3"', None, "pretrain.optimizer.lr"),
+    "accumulate_float": ("pretrain", "pretrain.accumulate=1.5", None, "pretrain.accumulate"),
+    "resample_string": ("pretrain", 'mask.resample_if_empty="no"', None, "mask.resample_if_empty"),
+    "donor_string": (
+        "gen-benchmarks", 'benchmarks.same_task_donor="no"', None, "benchmarks.same_task_donor",
+    ),
+    "recipe_desk": ("pretrain", 'pretrain.recipe="desk"', None, "pretrain.recipe"),
+    "model_d_in": ("pretrain", "model.d_in=8", None, "model.d_in: unknown key"),
+    "negative_tasks": ("gen-corpus", "corpus.num_tasks=-1", None, "num_tasks"),
+    "no_videos": ("gen-corpus", "corpus.videos_per_task=0", None, "videos_per_task"),
+    "two_ratios": ("gen-corpus", "corpus.split_ratios=[1, 2]", None, "corpus.split_ratios"),
+    "ratios_over_1": ("gen-corpus", "corpus.split_ratios=[0.5, 0.5, 0.5]", None, "split_ratios"),
+    "negative_epochs": ("pretrain", "pretrain.epochs=-3", None, "epochs must be >= 0"),
+    "manifest_not_json": (
+        "gen-benchmarks", None, lambda text: text[:-5], r"manifest.json: .* \(char \d+\)",
+    ),
+    "manifest_list": ("gen-benchmarks", None, lambda text: "[1, 2]", "manifest.json: top level"),
+    "manifest_string_tasks": (
+        "gen-benchmarks", None, lambda text: text.replace('"num_tasks": 3', '"num_tasks": "3"'),
+        "manifest.json: config.num_tasks: expected int",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, override, damage, message", CONFIG_DEFECTS.values(),
+                         ids=CONFIG_DEFECTS.keys())
+def test_config_defect_exits_1_naming_the_key(
+    tmp_path, caplog, capsys, command, override, damage, message
+):
+    config = write_config(tmp_path)
+    assert main(["gen-corpus", str(config)]) == 0
+    manifest = tmp_path / "corpus" / "manifest.json"
+    if damage is not None:
+        manifest.write_text(damage(manifest.read_text()))
+    caplog.clear()
+    assert main([command, str(config), *(["--set", override] if override else [])]) == 1
+    assert re.search(message, caplog.text)
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+    assert not (tmp_path / "ckpt" / "pretrain.vtfm").exists()
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +300,13 @@ class TestCliPipeline:
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["pretrain", str(tmp_path / "nope.json")]) == 1
+
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, caplog, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff{"seed": 1}')
+        assert main(["gen-corpus", str(bad)]) == 1
+        assert "bad.json: 'utf-8' codec can't decode byte 0xff in position 0" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
 class TestReportAggregation:

@@ -249,10 +249,14 @@ class TestCheckpointErrors:
             (lambda b: _with_config(b, s=6), r"array head_w has shape \(16, 7\), expected \(16, 6\)"),
             (lambda b: _with_config(b, d=32), "file too short for the .* parameters"),
             (lambda b: b + b"\0", "1 trailing bytes at byte"),
+            (lambda b: _with_config(b, layers=2.0), r"bad model config \(layers: expected int, got 2.0\)"),
+            (lambda b: _with_config(b, heads=True), r"bad model config \(heads: expected int, got True\)"),
+            (lambda b: _with_config(b, use_positional="no"), "bad model config .*use_positional: expected bool"),
         ],
         ids=[
             "cut_6", "cut_10", "cut_in_config", "missing_last_100", "unknown_config_key",
             "bad_magic", "config_shape_mismatch", "config_too_big", "trailing_byte",
+            "float_layers", "bool_heads", "string_use_positional",
         ],
     )
     def test_damaged_file_raises_parse_error(self, cfg, params, tmp_path, damage, match):
