@@ -13,9 +13,7 @@ from .weaklabel import (
     StepVocabulary,
     TextEmbedder,
     best_label,
-    cluster_asr,
     embed_text,
-    similarity,
     truncate_topk,
     weak_label_distribution,
 )

@@ -28,6 +28,7 @@ from .errors import (
     SynthesisError,
 )
 from .model import checkpoint_digest, load_checkpoint, save_checkpoint
+from .schema import read_json
 from .training import (
     two_phase_recipe,
     pretrain,
@@ -125,6 +126,7 @@ def cmd_gen_benchmarks(args) -> int:
                 "count": len(bset),
                 "seed": set_seed,
                 "digest": bset.digest,
+                "skipped": bset.skipped,
                 "corpus_digest": corpus.digest(),
                 "config_digest": cfg.digest(),
             }
@@ -265,9 +267,8 @@ def cmd_report(args) -> int:
     rows = []
     corpus_digests = set()
     for path in sorted(reports_dir.glob("eval_*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
-        if "task" not in rec or "accuracy" not in rec:
+        rec = read_json(path)
+        if not isinstance(rec, dict) or "task" not in rec or "accuracy" not in rec:
             continue
         rows.append(rec)
         corpus_digests.add(rec.get("corpus_digest", ""))

@@ -16,9 +16,9 @@ import json
 from typing import Literal
 
 from .corpus import CorpusConfig
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .model import ModelConfig
-from .schema import check, field_types, from_json
+from .schema import check, field_types, from_json, read_json
 from .training import MaskSpec, OptimizerConfig
 from .downstream import FinetuneConfig
 
@@ -98,11 +98,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path, overrides=(), seed: int | None = None) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise ParseError(f"{path}: {exc}") from exc
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         cfg = cls(data)

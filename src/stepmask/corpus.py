@@ -20,6 +20,7 @@ import json
 import logging
 import struct
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     ParseError,
     VocabularyMismatch,
 )
-from .schema import from_json
+from .schema import from_json, read_json
 from .weaklabel import (
     LabelDistribution,
     StepVocabulary,
@@ -182,6 +183,14 @@ class Corpus:
 
     def video(self, video_id: str) -> VideoRecord:
         return self._by_id[video_id]
+
+    @cached_property
+    def task_orderings(self) -> dict[int, set[tuple[int, ...]]]:
+        """The label sequences of each task's videos, built on first use."""
+        orderings: dict[int, set[tuple[int, ...]]] = {}
+        for v in self.videos:
+            orderings.setdefault(v.task_id, set()).add(tuple(v.truths()))
+        return orderings
 
     def digest(self) -> str:
         payload = json.dumps(annotation_payload(self), sort_keys=True).encode("utf-8")
@@ -531,6 +540,26 @@ def save_corpus(corpus: Corpus, out_dir, extra: dict | None = None) -> dict:
     return manifest
 
 
+_JSON_TYPES = {
+    str: ((str,), "a string"), int: ((int,), "an integer"),
+    float: ((int, float), "a number"), list: ((list,), "a list"),
+}
+
+
+def _typed_fields(rec, where: str, **types) -> tuple:
+    """rec's values at the given keys, each exactly of its JSON type: a bool
+    is not a number and a string is not an int, so nothing is cast."""
+    try:
+        values = tuple(rec[key] for key in types)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    for (key, tp), value in zip(types.items(), values):
+        allowed, name = _JSON_TYPES[tp]
+        if type(value) not in allowed:
+            raise ParseError(f"{where}: {key} {value!r} is not {name}")
+    return values
+
+
 def load_annotations(
     path,
     vocab: StepVocabulary,
@@ -545,13 +574,9 @@ def load_annotations(
     synthesized as the exact label prototypes. Weak label distributions are
     recomputed from the stored narration.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(payload, dict) or "videos" not in payload:
-        raise ParseError(f"{path}: top-level object must contain 'videos'")
+    payload = read_json(path)
+    if not isinstance(payload, dict) or not isinstance(payload.get("videos"), list):
+        raise ParseError(f"{path}: top-level object must contain a 'videos' list")
 
     feature_table = None
     d_in = None
@@ -563,14 +588,10 @@ def load_annotations(
     task_names: dict[int, str] = {}
     for vi, rec in enumerate(payload["videos"]):
         where = f"{path}: videos[{vi}]"
-        try:
-            video_id = str(rec["video_id"])
-            task_id = int(rec["task_id"])
-            task_name = str(rec["task_name"])
-            steps = rec["steps"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        if not isinstance(steps, list) or len(steps) < 2:
+        video_id, task_id, task_name, steps = _typed_fields(
+            rec, where, video_id=str, task_id=int, task_name=str, steps=list
+        )
+        if len(steps) < 2:
             raise InvalidAnnotation(f"{where}: needs >= 2 steps")
         task_names[task_id] = task_name
         clips = []
@@ -578,13 +599,9 @@ def load_annotations(
         vhash = video_hash_u64(video_id)
         for si, step in enumerate(steps):
             swhere = f"{where}.steps[{si}]"
-            try:
-                label = int(step["label_id"])
-                start = float(step["start"])
-                end = float(step["end"])
-                asr = str(step["asr"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{swhere}: {exc}") from exc
+            label, start, end, asr = _typed_fields(
+                step, swhere, label_id=int, start=float, end=float, asr=str
+            )
             if not 0 <= label < len(vocab):
                 raise VocabularyMismatch(f"{swhere}: unknown label_id {label}")
             if end <= start:
@@ -614,11 +631,7 @@ def load_corpus(corpus_dir) -> Corpus:
 
     d = Path(corpus_dir)
     path = d / "manifest.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     try:

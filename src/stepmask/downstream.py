@@ -46,9 +46,10 @@ class Route:
     row: "cls" (CLS prepended, row 0), "clip" (the first clip row), "query"
     (a masked position appended after the clips) or "clips" (every clip row;
     a one-column pointer head scores each clip). Heads name one (weight,
-    bias) pair per output slot; `classes` maps a target to one class index
-    per slot (mcfg.s is the NULL forecast class) and `decode` maps argmax
-    classes back to a prediction.
+    bias) pair per output slot; `classes(target, null)` maps a target (or a
+    prediction) to one class index per slot, `null` standing for an empty
+    forecast slot (mcfg.s in training, None when scoring), and `decode`
+    maps argmax classes back to a prediction.
     """
 
     row: str
@@ -200,15 +201,12 @@ def predict(
 
 
 def _count_correct(inst: BenchmarkInstance, prediction) -> tuple[int, int]:
-    """(correct, total); long_term counts non-NULL slots individually."""
-    if inst.kind == "long_term":
-        correct = sum(
-            1 for want, got in zip(inst.target, prediction)
-            if want is not None and got == want
-        )
-        total = sum(1 for want in inst.target if want is not None)
-        return correct, total
-    return int(prediction == inst.target), 1
+    """(correct, total) over the target's slots, as `Route.classes` maps
+    them; NULL (None) target slots count in neither."""
+    classes = ROUTES[inst.kind].classes
+    slots = [(want, got) for want, got in zip(classes(inst.target, None), classes(prediction, None))
+             if want is not None]
+    return sum(want == got for want, got in slots), len(slots)
 
 
 def evaluate(

@@ -1,4 +1,5 @@
-"""Typed construction of config dataclasses from JSON.
+"""Typed construction of config dataclasses from JSON, and the one JSON-file
+reader.
 
 `from_json` is the one place a JSON object becomes a config dataclass: its
 keys must be fields of the class, and each value must have the JSON type of
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 
 @functools.cache
@@ -27,6 +29,16 @@ def _resolved(cls) -> tuple:
 def field_types(cls) -> dict:
     """The fields of dataclass `cls` mapped to their resolved annotations."""
     return dict(_resolved(cls))
+
+
+def read_json(path):
+    """The JSON value in file `path`. Bytes that are not UTF-8 and text that
+    is not JSON raise ParseError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def check(tp, value, where: str = ""):

@@ -27,6 +27,7 @@ from .errors import (
     MissingEmbedding,
     ParseError,
 )
+from .schema import read_json
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -136,11 +137,7 @@ class StepVocabulary:
     @classmethod
     def from_json_file(cls, path, embedder: TextEmbedder) -> "StepVocabulary":
         """Load a JSON array of {id, title, description}; ids must be 0..S-1."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                records = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
+        records = read_json(path)
         if not isinstance(records, list):
             raise ParseError(f"{path}: expected a JSON array of step objects")
         by_id = {}
@@ -202,15 +199,6 @@ class LabelDistribution:
         return dense
 
 
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two equal-dimension vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"similarity dims differ: {a.shape} vs {b.shape}")
-    return float(a @ b)
-
-
 def stable_softmax(scores: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax in double precision."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -262,36 +250,3 @@ def weak_label_distribution(
 def best_label(dist: LabelDistribution) -> int:
     """Most probable label; ties already resolved to the lowest id."""
     return dist.entries[0][0]
-
-
-def cluster_asr(
-    sentences: list[str],
-    embedder: TextEmbedder,
-    threshold_scale: float = 1.0,
-) -> list[tuple[int, int]]:
-    """Segment a sentence sequence by adjacent-pair similarity.
-
-    The threshold is threshold_scale times the mean similarity over all
-    unordered sentence pairs; sentence i+1 joins the current segment iff
-    sim(i, i+1) strictly exceeds it. Returns half-open (start, stop) ranges
-    that partition [0, len(sentences)).
-    """
-    if not sentences:
-        raise InvalidInput("need at least one sentence")
-    if threshold_scale <= 0:
-        raise InvalidInput("threshold_scale must be positive")
-    n = len(sentences)
-    if n == 1:
-        return [(0, 1)]
-    emb = np.stack([embed_text(embedder, s) for s in sentences])
-    gram = emb @ emb.T
-    pair_mean = float(gram[np.triu_indices(n, k=1)].mean())
-    threshold = threshold_scale * pair_mean
-    segments = []
-    start = 0
-    for i in range(n - 1):
-        if not gram[i, i + 1] > threshold:
-            segments.append((start, i + 1))
-            start = i + 1
-    segments.append((start, n))
-    return segments

@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 from stepmask.benchmarks import (
+    KIND_SPECS,
+    KINDS,
     BenchmarkSet,
     build_benchmark_set,
     derive_seed,
@@ -18,6 +20,7 @@ from stepmask.benchmarks import (
     write_benchmark_jsonl,
 )
 from stepmask.corpus import Clip, Corpus, CorpusConfig, VideoRecord, generate_corpus
+from stepmask.downstream import ROUTES
 from stepmask.errors import InvalidInput, ParseError, SynthesisError
 from stepmask.weaklabel import LabelDistribution
 
@@ -96,16 +99,6 @@ class TestMistakeOrder:
         corpus, video = constant_label_video(label=1)
         with pytest.raises(SynthesisError):
             make_mistake_order(video, corpus, seed=0, force_permuted=True)
-
-    def test_iid_positive_fraction(self, corpus):
-        video = corpus.videos[0]
-        positives = sum(
-            not make_mistake_order(
-                video, corpus, seed=derive_seed(11, video.video_id, s)
-            ).target
-            for s in range(10_000)
-        )
-        assert positives / 10_000 == pytest.approx(0.5, abs=0.02)
 
     def test_permuted_avoids_same_task_orderings(self, corpus):
         valid = {}
@@ -206,6 +199,34 @@ class TestBuilder:
         with pytest.raises(InvalidInput):
             build_benchmark_set("nope", corpus.videos, corpus, seed=0)
 
+    @pytest.mark.parametrize("kind, same_task_donor, digest", [
+        ("mistake_step", False, "28f9cb3da827d8e17d5e0e29aa3e56c3aab1f0a8ba9e85143216a14cc7edb640"),
+        ("mistake_step", True, "59f90b7416ef00a8118bcdf31e647e0968cb575121bb3f8425d357dabf02b617"),
+        ("mistake_order", False, "d6434230323aa187596c4b85bce871121b1cb180576618385324dd9d1872c9c9"),
+        ("short_term", False, "131dc3c4e6323781ae1e0be5772b0830d80981086f4346139023ee8688f04870"),
+        ("long_term", False, "5bf29a05422a5ac4918fba9ff5db1ca5bedd3bad6b78ab9b6ee50aeec56ea981"),
+        ("proc_rec", False, "449d19d16cf9bec5d117b8060eb1ef24d498f5a6ddd18a563fdb9400d62a8e31"),
+        ("step_cls", False, "cb1116516b7bfa0001beaa1e58e921da406bac7209a39b345b506eedd49bf2b8"),
+    ])
+    def test_pinned_set_digests(self, corpus, kind, same_task_donor, digest):
+        # Synthesis must not move: every RNG draw, and the order of each
+        # instance's eligible donors, stay as they were when these were recorded.
+        bset = build_benchmark_set(
+            kind, corpus.videos, corpus, seed=5, instances_per_video=3,
+            same_task_donor=same_task_donor,
+        )
+        assert bset.digest == digest
+
+    def test_skipped_slots_counted_outside_the_digest(self):
+        corpus, video = constant_label_video(label=2)
+        bset = build_benchmark_set("mistake_step", [video], corpus, seed=0, instances_per_video=3)
+        assert (len(bset), bset.skipped) == (0, 3)
+        assert bset.digest == BenchmarkSet("mistake_step", [], "all", 0).digest
+
+    def test_kind_table_matches_routes(self):
+        assert tuple(KIND_SPECS) == KINDS
+        assert set(KINDS) == set(ROUTES)
+
 
 class TestJsonl:
     @pytest.mark.parametrize("kind", ["mistake_step", "mistake_order", "short_term", "long_term", "proc_rec", "step_cls"])
@@ -239,12 +260,21 @@ class TestJsonl:
             ("mistake_order", lambda r, k: r.update(target="no"), "'no' is not true or false"),
             ("mistake_order", lambda r, k: r.update(target=1), "1 is not true or false"),
             ("long_term", lambda r, k: r.update(target=[1, 2]), "2 slots, not 5"),
+            ("step_cls", lambda r, k: r.update(clip_refs=[[r["video_id"], 0.7]]), r"clip ref \[.*, 0.7\] is not"),
+            ("step_cls", lambda r, k: r.update(seed=1.5), "seed 1.5 is not an integer"),
+            ("proc_rec", lambda r, k: r.update(target=True), "True is not a corpus task id"),
+            ("step_cls", lambda r, k: r.update(target="3"), "'3' is not a corpus label"),
+            ("step_cls", lambda r, k: r.update(target=3.9), "3.9 is not a corpus label"),
+            ("long_term", lambda r, k: r.update(target=[3, 2.0, None, None, None]), "2.0 is not a corpus label"),
+            ("step_cls", lambda r, k: b"\xff" + json.dumps(r).encode(), "'utf-8' codec can't decode byte 0xff"),
         ],
         ids=[
             "negative_clip", "clip_past_end", "unknown_ref_video", "unknown_video_id",
             "label", "long_term_label", "long_term_scalar", "task_id",
             "negative_mistake_step", "mistake_step_past_end",
             "mistake_order_string", "mistake_order_int", "long_term_slot_count",
+            "float_clip_index", "float_seed", "bool_task_id", "string_label", "float_label",
+            "float_long_term_slot", "not_utf8",
         ],
     )
     def test_out_of_range_record_rejected(self, corpus, kind, edit, match, tmp_path):
@@ -252,8 +282,8 @@ class TestJsonl:
         path = tmp_path / "bad.jsonl"
         write_benchmark_jsonl(bset, path)
         record = json.loads(path.read_text().splitlines()[0])
-        edit(record, corpus.videos[0].K)
-        path.write_text(json.dumps(record) + "\n")
+        damaged = edit(record, corpus.videos[0].K)  # bytes, or None after editing the record
+        path.write_bytes(damaged or (json.dumps(record) + "\n").encode())
         with pytest.raises(ParseError, match=f"bad.jsonl:1: .*{match}"):
             read_benchmark_jsonl(path, corpus)
 

@@ -248,6 +248,25 @@ class TestCliPipeline:
         assert rc == 1
         assert "empty dataset" in caplog.text
 
+    def test_benchmark_manifest_counts_skipped_slots(self, pipeline):
+        tmp_path, _ = pipeline
+        for kind in ("proc_rec", "mistake_order"):
+            manifest = json.loads((tmp_path / "bench" / f"{kind}.train.manifest.json").read_text())
+            assert manifest["skipped"] == 0
+
+    def test_eval_benchmark_that_is_not_utf8_exits_1(self, pipeline, caplog, capsys):
+        tmp_path, config = pipeline
+        bad = tmp_path / "bench" / "bad.jsonl"
+        bad.write_bytes(b"\xff" + (tmp_path / "bench" / "proc_rec.test.jsonl").read_bytes())
+        rc = main([
+            "eval", str(config),
+            "--checkpoint", str(tmp_path / "ckpt" / "pretrain.vtfm"),
+            "--benchmark", str(bad),
+        ])
+        assert rc == 1
+        assert "bad.jsonl:1: 'utf-8' codec can't decode byte 0xff in position 0" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
     def test_eval_truncated_checkpoint_exits_1(self, pipeline, caplog, capsys):
         tmp_path, config = pipeline
         cut = tmp_path / "ckpt" / "truncated.vtfm"
@@ -301,6 +320,16 @@ class TestCliPipeline:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["pretrain", str(tmp_path / "nope.json")]) == 1
 
+    def test_vocab_that_is_not_utf8_exits_1(self, tmp_path, caplog, capsys):
+        config = write_config(tmp_path)
+        assert main(["gen-corpus", str(config)]) == 0
+        vocab = tmp_path / "corpus" / "vocab.json"
+        vocab.write_bytes(b"\xff" + vocab.read_bytes())
+        caplog.clear()
+        assert main(["gen-benchmarks", str(config)]) == 1
+        assert "vocab.json: 'utf-8' codec can't decode byte 0xff in position 0" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
     def test_config_that_is_not_utf8_exits_1(self, tmp_path, caplog, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'\xff{"seed": 1}')
@@ -321,6 +350,16 @@ class TestReportAggregation:
             }))
         assert main(["report", "--reports", str(reports)]) == 1
         assert "different corpora" in caplog.text
+
+    def test_truncated_eval_report_exits_1(self, tmp_path, caplog, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        text = json.dumps({"task": "step_cls", "split": "test", "accuracy": 0.5, "correct": 1,
+                           "total": 2, "config_digest": "x", "corpus_digest": "aaa"})
+        (reports / "eval_step_cls_test.json").write_text(text[:-20])
+        assert main(["report", "--reports", str(reports)]) == 1
+        assert re.search(r"eval_step_cls_test.json: .* \(char \d+\)", caplog.text)
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
 class TestGradcheckCommand:

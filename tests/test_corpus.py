@@ -235,6 +235,21 @@ class TestFiles:
         with pytest.raises(VocabularyMismatch):
             load_annotations(path, corpus.vocab, emb, k=3)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda v: v.update(task_id=0.9), r"videos\[0\]: task_id 0.9 is not an integer"),
+        (lambda v: v.update(task_id=True), r"videos\[0\]: task_id True is not an integer"),
+        (lambda v: v["steps"][1].update(label_id="2"),
+         r"videos\[0\]\.steps\[1\]: label_id '2' is not an integer"),
+    ], ids=["float_task_id", "bool_task_id", "string_label_id"])
+    def test_annotation_types_are_exact(self, tmp_path, edit, match):
+        save_corpus(generate_corpus(small_config()), tmp_path)
+        path = tmp_path / "annotations.json"
+        payload = json.loads(path.read_text())
+        edit(payload["videos"][0])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=match):
+            load_corpus(tmp_path)
+
     def test_features_synthesized_without_sidecar(self, tmp_path):
         cfg = small_config()
         corpus = generate_corpus(cfg)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepmask.errors import (
-    DimensionError,
     InvalidDistribution,
     InvalidInput,
     MissingEmbedding,
@@ -14,10 +13,8 @@ from stepmask.weaklabel import (
     StepVocabulary,
     TextEmbedder,
     best_label,
-    cluster_asr,
     embed_text,
     normalize_text,
-    similarity,
     stable_softmax,
     truncate_topk,
     weak_label_distribution,
@@ -72,22 +69,6 @@ class TestEmbedText:
         path.write_text("no tab here\n")
         with pytest.raises(ParseError):
             TextEmbedder.from_table_file(path)
-
-
-class TestSimilarity:
-    def test_unit_self(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert similarity(e1, e1) == pytest.approx(1.0)
-
-    def test_orthonormal(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_value(self):
-        assert similarity(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            similarity(np.ones(3), np.ones(4))
 
 
 class TestTruncateTopk:
@@ -182,47 +163,6 @@ class TestBestLabel:
     def test_tie_breaks_to_lower_id(self):
         dist = truncate_topk(np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.5]), k=3)
         assert best_label(dist) == 2
-
-
-class TestClusterAsr:
-    def test_single_sentence(self, embedder):
-        assert cluster_asr(["only one"], embedder) == [(0, 1)]
-
-    def test_identical_sentences_split(self, embedder):
-        # every similarity equals the mean, strict inequality fails everywhere
-        segments = cluster_asr(["same thing"] * 4, embedder)
-        assert segments == [(0, 1), (1, 2), (2, 3), (3, 4)]
-
-    def test_hand_traced_segments(self):
-        vectors = {
-            "s0": [1.0, 0.0, 0.0, 0.0],
-            "s1": [0.9, np.sqrt(1 - 0.81), 0.0, 0.0],
-            "s2": [0.0, 0.0, 1.0, 0.0],
-            "s3": [0.0, 0.0, 0.9, np.sqrt(1 - 0.81)],
-        }
-        emb = TextEmbedder(
-            dim=4, mode="table",
-            table={k: np.array(v) for k, v in vectors.items()},
-        )
-        # adjacent sims [0.9, 0, 0.9], overall pair mean 0.3
-        assert cluster_asr(["s0", "s1", "s2", "s3"], emb) == [(0, 2), (2, 4)]
-
-    def test_threshold_scale_validated(self, embedder):
-        with pytest.raises(InvalidInput):
-            cluster_asr(["a", "b"], embedder, threshold_scale=0.0)
-
-    @given(st.integers(1, 12), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_segments_partition(self, n, seed):
-        emb = TextEmbedder(dim=8, seed=3)
-        rng = np.random.default_rng(seed)
-        sentences = [f"sentence {rng.integers(5)} {i if rng.random() < 0.5 else ''}" for i in range(n)]
-        segments = cluster_asr(sentences, emb)
-        covered = []
-        for start, stop in segments:
-            assert start < stop
-            covered.extend(range(start, stop))
-        assert covered == list(range(n))
 
 
 class TestVocabularyIO:
