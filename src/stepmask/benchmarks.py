@@ -404,7 +404,7 @@ def read_benchmark_jsonl(path, corpus: Corpus, source_split: str = "file") -> Be
             if problem:
                 raise ParseError(f"{path}:{lineno}: {problem}")
             target = tuple(target) if type(target) is list else target
-            refs = [(vid, idx) for vid, idx in refs]
+            refs = [corpus.clip_refs[vid][idx] for vid, idx in refs]
             instances.append(_instance(kind, corpus.video(video_id), target, seed, refs, corpus))
     if not instances:
         raise InvalidInput(f"{path}: empty dataset")

@@ -28,7 +28,7 @@ from .errors import (
     SynthesisError,
 )
 from .model import checkpoint_digest, load_checkpoint, save_checkpoint
-from .schema import read_json
+from .schema import read_json, typed_fields
 from .training import (
     two_phase_recipe,
     pretrain,
@@ -270,6 +270,7 @@ def cmd_report(args) -> int:
         rec = read_json(path)
         if not isinstance(rec, dict) or "task" not in rec or "accuracy" not in rec:
             continue
+        typed_fields(rec, str(path), task=str, split=str, accuracy=float, correct=int, total=int)
         rows.append(rec)
         corpus_digests.add(rec.get("corpus_digest", ""))
     if not rows:

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     VocabularyMismatch,
 )
-from .schema import from_json, read_json
+from .schema import from_json, read_json, typed_fields
 from .weaklabel import (
     LabelDistribution,
     StepVocabulary,
@@ -191,6 +191,14 @@ class Corpus:
         for v in self.videos:
             orderings.setdefault(v.task_id, set()).add(tuple(v.truths()))
         return orderings
+
+    @cached_property
+    def clip_refs(self) -> dict[str, tuple[tuple[str, int], ...]]:
+        """One (video_id, clip_index) tuple per clip, holding the video's own
+        id string, built on first use: instances read from files share them."""
+        return {
+            v.video_id: tuple((v.video_id, i) for i in range(v.K)) for v in self.videos
+        }
 
     def digest(self) -> str:
         payload = json.dumps(annotation_payload(self), sort_keys=True).encode("utf-8")
@@ -540,26 +548,6 @@ def save_corpus(corpus: Corpus, out_dir, extra: dict | None = None) -> dict:
     return manifest
 
 
-_JSON_TYPES = {
-    str: ((str,), "a string"), int: ((int,), "an integer"),
-    float: ((int, float), "a number"), list: ((list,), "a list"),
-}
-
-
-def _typed_fields(rec, where: str, **types) -> tuple:
-    """rec's values at the given keys, each exactly of its JSON type: a bool
-    is not a number and a string is not an int, so nothing is cast."""
-    try:
-        values = tuple(rec[key] for key in types)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    for (key, tp), value in zip(types.items(), values):
-        allowed, name = _JSON_TYPES[tp]
-        if type(value) not in allowed:
-            raise ParseError(f"{where}: {key} {value!r} is not {name}")
-    return values
-
-
 def load_annotations(
     path,
     vocab: StepVocabulary,
@@ -588,7 +576,7 @@ def load_annotations(
     task_names: dict[int, str] = {}
     for vi, rec in enumerate(payload["videos"]):
         where = f"{path}: videos[{vi}]"
-        video_id, task_id, task_name, steps = _typed_fields(
+        video_id, task_id, task_name, steps = typed_fields(
             rec, where, video_id=str, task_id=int, task_name=str, steps=list
         )
         if len(steps) < 2:
@@ -599,7 +587,7 @@ def load_annotations(
         vhash = video_hash_u64(video_id)
         for si, step in enumerate(steps):
             swhere = f"{where}.steps[{si}]"
-            label, start, end, asr = _typed_fields(
+            label, start, end, asr = typed_fields(
                 step, swhere, label_id=int, start=float, end=float, asr=str
             )
             if not 0 <= label < len(vocab):

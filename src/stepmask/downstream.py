@@ -4,14 +4,23 @@ task kinds.
 `ROUTES` holds, per kind, the hidden row its heads read (which also fixes the
 reserved tokens of the forward pass), its (weight, bias) head arrays with one
 pair per output slot, and how targets map to class indices and back.
-`_head_logits` runs the forward pass for both `predict` and the fine-tune
-loss, so evaluation always scores the logits training optimized.
+`_forward` and `_slot_logits` serve both `predict` and the fine-tune loss, so
+evaluation always scores the logits training optimized.
 
 linear_probe trains only the kind's heads; finetune also trains the backbone
 (`model.backbone_names`: input projection, tokens, positional, blocks), never
 the other kinds' heads. Frozen arrays stay bit-identical: the optimizer
 skips them entirely, weight decay included. The epoch loop is the one
-pre-training runs (`training._train_epochs`).
+pre-training runs (`training._train_epochs`), and both modes score a slot
+with the same `_slot_loss`.
+
+A linear probe runs the backbone once per instance. The first visit keeps
+the hidden rows the heads read (`_head_rows`: the whole (T, d) matrix for
+main-head kinds, the CLS row, or the clip rows) in one buffer of rows × d ×
+8 bytes that lives for the duration of the `finetune` call; later visits
+train on those rows with the same matmul shapes, so results are
+bit-identical to running the forward pass each time. The training state
+covers the trainable window only, with `v` for AdamW only.
 """
 
 from __future__ import annotations
@@ -30,10 +39,12 @@ from .model import (
     backbone_names,
     backward as model_backward,
     clone_params,
+    flat_window,
     forward,
     get_array,
     log_softmax,
     softmax_logits,
+    window_params,
 )
 from .training import OptimizerConfig, TrainReport, _train_epochs
 from .weaklabel import TextEmbedder, embed_text
@@ -157,9 +168,22 @@ def _task_token(inst: BenchmarkInstance, use_task_label: bool):
     return inst.task_name_embedding
 
 
-def _head_logits(params, mcfg: ModelConfig, inst: BenchmarkInstance, use_task_label: bool):
-    """Forward pass for one instance: (trace, the hidden row index its heads
-    read, [(head input, logits)] with one entry per output slot)."""
+def _head_rows(route: Route, inst: BenchmarkInstance, use_task_label: bool):
+    """(rows, at): the slice of the forward pass's hidden rows a route's heads
+    read, and the heads' input within those rows (one row, or every clip
+    row for the pointer head)."""
+    offset = int(route.row == "cls") + int(use_task_label)
+    t = offset + inst.K + int(route.row == "query")
+    return {
+        "cls": (slice(0, 1), 0),
+        "clip": (slice(0, t), offset),
+        "query": (slice(0, t), offset + inst.K),
+        "clips": (slice(offset, t), slice(None)),
+    }[route.row]
+
+
+def _forward(params, mcfg: ModelConfig, inst: BenchmarkInstance, use_task_label: bool):
+    """Forward pass for one instance: (trace, rows, at) as `_head_rows`."""
     route = ROUTES.get(inst.kind)
     if route is None:
         raise InvalidInput(f"unknown instance kind {inst.kind!r}")
@@ -170,18 +194,18 @@ def _head_logits(params, mcfg: ModelConfig, inst: BenchmarkInstance, use_task_la
         params, mcfg, clips, mask_set=mask, prepend_cls=route.row == "cls",
         task_token=_task_token(inst, use_task_label),
     )
-    at = {
-        "cls": 0,
-        "clip": trace.offset,
-        "query": trace.offset + inst.K,
-        "clips": slice(trace.offset, None),
-    }[route.row]
-    x = trace.hidden[at]
+    return (trace, *_head_rows(route, inst, use_task_label))
+
+
+def _slot_logits(params, route: Route, hidden: np.ndarray, at):
+    """[(head input, logits)] with one entry per output slot, from the hidden
+    rows `hidden` the route's heads read."""
+    x = hidden[at]
     # Keep each head's matmul shape: BLAS rounds a (T, D) product's rows and
     # a single-row product differently in the last bits.
     if route.heads == MAIN_HEAD:
-        return trace, at, [(x, trace.logits[at])]
-    return trace, at, [
+        return [(x, (hidden @ params.head_w + params.head_b)[at])]
+    return [
         (x, (x @ get_array(params, w) + get_array(params, b)).reshape(-1))
         for w, b in route.heads
     ]
@@ -195,9 +219,10 @@ def predict(
 ):
     """Task-specific prediction for one instance; ties resolve to the lowest
     index via argmax."""
-    _, _, slots = _head_logits(params, mcfg, inst, use_task_label)
-    classes = tuple(int(np.argmax(z)) for _, z in slots)
-    return ROUTES[inst.kind].decode(classes, mcfg.s)
+    trace, rows, at = _forward(params, mcfg, inst, use_task_label)
+    route = ROUTES[inst.kind]
+    slots = _slot_logits(params, route, trace.hidden[rows], at)
+    return route.decode(tuple(int(np.argmax(z)) for _, z in slots), mcfg.s)
 
 
 def _count_correct(inst: BenchmarkInstance, prediction) -> tuple[int, int]:
@@ -245,28 +270,22 @@ def evaluate(
     )
 
 
-def _instance_loss_grads(
-    params: TransformerParams,
-    mcfg: ModelConfig,
-    inst: BenchmarkInstance,
-    cfg: FinetuneConfig,
-    grads: TransformerParams,
+def _slot_loss(
+    params, mcfg: ModelConfig, inst: BenchmarkInstance, hidden, at, grads, d_hidden=None
 ):
-    """Forward, cross-entropy summed over the kind's head slots, gradients
-    into `grads`.
+    """Cross-entropy summed over the kind's head slots on the hidden rows
+    `hidden` its heads read; head gradients into `grads` and, when given,
+    the gradient with respect to `hidden` into `d_hidden`.
 
     Every long_term slot trains (padded slots target the NULL class), but
-    accuracy counts non-NULL slots only, as `evaluate` does. linear_probe
-    touches only the head arrays; finetune also backpropagates into the
-    transformer. Returns (loss, correct, total).
+    accuracy counts non-NULL slots only, as `evaluate` does. Returns (loss,
+    correct, total).
     """
-    trace, at, slots = _head_logits(params, mcfg, inst, cfg.use_task_label)
     route = ROUTES[inst.kind]
-    d_hidden = np.zeros((trace.T, mcfg.d))
     loss = 0.0
     predicted = []
     for (x, z), (w_name, b_name), target in zip(
-        slots, route.heads, route.classes(inst.target, mcfg.s)
+        _slot_logits(params, route, hidden, at), route.heads, route.classes(inst.target, mcfg.s)
     ):
         if not 0 <= target < z.shape[0]:
             raise ConfigError(f"{w_name} covers {z.shape[0]} classes, target {target}")
@@ -275,16 +294,54 @@ def _instance_loss_grads(
         d[target] -= 1.0
         w = get_array(params, w_name)
         if x.ndim == 1:
-            dw, db, dx = np.outer(x, d), d, d @ w.T
+            dw, db = np.outer(x, d), d
         else:  # pointer head: one score per clip row
-            dw, db, dx = x.T @ d[:, None], np.array([d.sum()]), np.outer(d, w[:, 0])
+            dw, db = x.T @ d[:, None], np.array([d.sum()])
         get_array(grads, w_name)[...] += dw
         get_array(grads, b_name)[...] += db
-        d_hidden[at] += dx
+        if d_hidden is not None:
+            d_hidden[at] += d @ w.T if x.ndim == 1 else np.outer(d, w[:, 0])
         predicted.append(int(np.argmax(z)))
-    if cfg.mode == "finetune":
-        model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
     return (loss, *_count_correct(inst, route.decode(tuple(predicted), mcfg.s)))
+
+
+def _instance_loss_grads(
+    params: TransformerParams,
+    mcfg: ModelConfig,
+    inst: BenchmarkInstance,
+    cfg: FinetuneConfig,
+    grads: TransformerParams,
+):
+    """Full fine-tuning's loss step for one instance: forward, `_slot_loss`
+    and the backward pass into the transformer. Returns (loss, correct,
+    total)."""
+    trace, rows, at = _forward(params, mcfg, inst, cfg.use_task_label)
+    d_hidden = np.zeros((trace.T, mcfg.d))
+    result = _slot_loss(params, mcfg, inst, trace.hidden[rows], at, grads, d_hidden[rows])
+    model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
+    return result
+
+
+def _probe_step(params, mcfg: ModelConfig, cfg: FinetuneConfig, instances):
+    """The linear probe's loss step. The first visit to an instance runs the
+    frozen backbone and keeps the hidden rows its heads read, in one buffer
+    for all instances; every visit trains the heads on those rows."""
+    route = ROUTES[cfg.task_kind]
+    heads = [_head_rows(route, inst, cfg.use_task_label) for inst in instances]
+    bounds = np.cumsum([0, *(rows.stop - rows.start for rows, _ in heads)])
+    cache = np.empty((int(bounds[-1]), mcfg.d))
+    seen = np.zeros(len(instances), dtype=bool)
+
+    def step(i, grads):
+        inst, (rows, at) = instances[i], heads[i]
+        hidden = cache[bounds[i] : bounds[i + 1]]
+        if not seen[i]:
+            trace, _, _ = _forward(params, mcfg, inst, cfg.use_task_label)
+            hidden[...] = trace.hidden[rows]
+            seen[i] = True
+        return _slot_loss(params, mcfg, inst, hidden, at, grads)
+
+    return step
 
 
 def finetune(
@@ -296,21 +353,34 @@ def finetune(
     config_digest: str = "",
 ) -> tuple[TransformerParams, TrainReport]:
     """Cross-entropy training of the kind head (and, in finetune mode, the
-    backbone) on a benchmark set, deterministic in cfg.seed."""
+    backbone) on a benchmark set, deterministic in cfg.seed.
+
+    A linear probe trains a window of the kind's heads on top of `pretrained`
+    and runs the backbone once per instance (`_probe_step`); the full-size
+    copy it returns is made after training."""
     if not dataset.instances:
         raise InvalidInput("empty dataset")
     if dataset.kind != cfg.task_kind:
         raise InvalidInput(
             f"dataset kind {dataset.kind!r} does not match config {cfg.task_kind!r}"
         )
-    params = clone_params(pretrained)
+    trainable = trainable_names(pretrained, cfg)
     opt = OptimizerConfig(
         kind=cfg.optimizer, lr=cfg.lr, momentum=cfg.momentum,
         weight_decay=cfg.weight_decay, schedule=list(cfg.schedule),
     )
+    if cfg.mode == "linear_probe":
+        params = window_params(pretrained, *flat_window(pretrained, trainable))
+        step = _probe_step(params, mcfg, cfg, dataset.instances)
+    else:
+        params = clone_params(pretrained)
+
+        def step(ii, grads):
+            return _instance_loss_grads(params, mcfg, dataset.instances[ii], cfg, grads)
+
     report = _train_epochs(
-        params, opt, trainable_names(params, cfg), len(dataset.instances),
-        lambda ii, grads: _instance_loss_grads(params, mcfg, dataset.instances[ii], cfg, grads),
+        params, opt, trainable, len(dataset.instances), step,
         cfg.epochs, cfg.seed, 19, config_digest=config_digest,
     )
-    return params, report
+    del step  # a probe's row cache goes before its full-size copy is made
+    return (params if cfg.mode == "finetune" else clone_params(params)), report

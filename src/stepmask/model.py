@@ -10,7 +10,9 @@ All parameters live in one contiguous float64 buffer, `params.flat`, laid
 out by `param_layout(cfg)` as an ordered name -> (offset, shape) table; every
 array attribute (`w_in`, `blocks[i].wq`, `forecast_w[i]`, ...) is a view into
 it. Cloning, zeroing and gradient accumulation are single array operations,
-and the optimizer updates contiguous spans of the buffer.
+and the optimizer updates contiguous spans of the buffer. A window
+(`window_params`, `zeros_window`) holds only the layout offsets [lo, hi) in
+its buffer, so training state can be sized to the arrays that train.
 """
 
 from __future__ import annotations
@@ -127,7 +129,11 @@ class TransformerParams:
     """Every array is a view into `flat`, one contiguous float64 buffer laid
     out by `layout`. Update arrays in place: an attribute rebound to a new
     array is detached from the buffer that clones, zeroing and the optimizer
-    work on."""
+    work on.
+
+    `flat` holds the layout offsets [base, base + flat.size): all of them
+    unless the parameters are a window, whose other arrays are read-only.
+    """
 
     w_in: np.ndarray
     b_in: np.ndarray
@@ -147,6 +153,11 @@ class TransformerParams:
     forecast_b: list[np.ndarray]
     flat: np.ndarray = field(repr=False)
     layout: Layout = field(repr=False)
+    base: int = 0
+
+    def span(self, lo: int, hi: int) -> np.ndarray:
+        """The buffer at layout offsets [lo, hi)."""
+        return self.flat[lo - self.base : hi - self.base]
 
 
 def param_layout(cfg: ModelConfig) -> Layout:
@@ -191,12 +202,25 @@ def _layout_size(layout: Layout) -> int:
     return offset + math.prod(shape)
 
 
-def _bind(layout: Layout, flat: np.ndarray) -> TransformerParams:
-    """Parameters whose arrays are views into `flat` at the layout's offsets."""
-    view = {
-        name: flat[offset : offset + math.prod(shape)].reshape(shape)
-        for name, (offset, shape) in layout.items()
-    }
+def _bind(
+    layout: Layout, flat: np.ndarray, base: int = 0, outside: TransformerParams | None = None
+) -> TransformerParams:
+    """Parameters whose arrays at layout offsets [base, base + flat.size) are
+    views into `flat`. Every other array is a read-only view of `outside`'s
+    array, or of zeros when `outside` is None."""
+    hi = base + flat.size
+
+    def array(name, offset, shape):
+        size = math.prod(shape)
+        if base <= offset and offset + size <= hi:
+            return flat[offset - base : offset - base + size].reshape(shape)
+        if offset < hi and offset + size > base:
+            raise DimensionError(f"array {name} straddles the window [{base}, {hi})")
+        arr = np.broadcast_to(0.0, shape) if outside is None else get_array(outside, name).view()
+        arr.flags.writeable = False
+        return arr
+
+    view = {name: array(name, offset, shape) for name, (offset, shape) in layout.items()}
     layers = sum(name.endswith(".wq") for name in layout)
     return TransformerParams(
         **{name: arr for name, arr in view.items() if "." not in name},
@@ -208,6 +232,7 @@ def _bind(layout: Layout, flat: np.ndarray) -> TransformerParams:
         forecast_b=[view[f"forecast.{i}.b"] for i in range(FORECAST_SLOTS)],
         flat=flat,
         layout=layout,
+        base=base,
     )
 
 
@@ -242,12 +267,32 @@ def flat_spans(params: TransformerParams, names) -> list[tuple[int, int]]:
     return spans
 
 
+def flat_window(params: TransformerParams, names) -> tuple[int, int]:
+    """The layout offsets from the start of the first named array to the end
+    of the last one (an empty range when no name is in the layout)."""
+    spans = flat_spans(params, names)
+    return (spans[0][0], spans[-1][1]) if spans else (params.base, params.base)
+
+
 def zeros_like_params(params: TransformerParams) -> TransformerParams:
-    return _bind(params.layout, np.zeros_like(params.flat))
+    return _bind(params.layout, np.zeros_like(params.flat), params.base)
+
+
+def zeros_window(layout: Layout, lo: int, hi: int) -> TransformerParams:
+    """Zeros over layout offsets [lo, hi), which must bound whole arrays; the
+    arrays outside are read-only zeros that take no memory."""
+    return _bind(layout, np.zeros(hi - lo), lo)
+
+
+def window_params(params: TransformerParams, lo: int, hi: int) -> TransformerParams:
+    """A copy of `params`' arrays at layout offsets [lo, hi) in a buffer of
+    their own; the arrays outside are read-only views of `params`' arrays."""
+    return _bind(params.layout, params.span(lo, hi).copy(), lo, params)
 
 
 def clone_params(params: TransformerParams) -> TransformerParams:
-    return _bind(params.layout, params.flat.copy())
+    """A full-size copy, also of a window."""
+    return _bind(params.layout, np.concatenate([arr.reshape(-1) for _, arr in named_arrays(params)]))
 
 
 def params_digest(params: TransformerParams) -> str:

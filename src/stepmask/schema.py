@@ -83,3 +83,27 @@ def from_json(cls, data, where: str = ""):
         if required and f.name not in kwargs:
             raise ConfigError(f"{where}.{f.name}: missing" if where else f"{f.name}: missing")
     return cls(**kwargs)
+
+
+_JSON_TYPES = {
+    str: ((str,), "a string"), int: ((int,), "an integer"),
+    float: ((int, float), "a number"), list: ((list,), "a list"),
+}
+
+
+def typed_fields(rec, where: str, **types) -> tuple:
+    """rec's values at the given keys, each exactly of its JSON type: a bool
+    is not a number and a string is not an int, so nothing is cast. A
+    record that is not an object, lacks a key or has a value of another
+    type raises ParseError naming `where` and the key."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"{where}: {rec!r} is not an object")
+    values = []
+    for key, tp in types.items():
+        if key not in rec:
+            raise ParseError(f"{where}: missing {key!r}")
+        allowed, name = _JSON_TYPES[tp]
+        if type(rec[key]) not in allowed:
+            raise ParseError(f"{where}: {key} {rec[key]!r} is not {name}")
+        values.append(rec[key])
+    return tuple(values)

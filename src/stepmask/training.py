@@ -31,13 +31,14 @@ from .model import (
     backbone_names,
     clone_params,
     flat_spans,
+    flat_window,
     forward,
     get_array,
     init_params,
     log_softmax,
     named_arrays,
     softmax_logits,
-    zeros_like_params,
+    zeros_window,
 )
 from .weaklabel import LabelDistribution, best_label
 
@@ -307,9 +308,9 @@ OPT_CHUNK = 32_768
 
 @dataclass
 class OptimizerState:
-    """Moment buffers over the whole flat parameter buffer (`v` is unused by
-    SGD), plus the trainable spans cached per trainable set and the chunk
-    scratch."""
+    """Moment buffers over the layout offsets [base, base + m.size), plus the
+    trainable spans cached per trainable set and the chunk scratch. SGD never
+    reads `v`, which is then a read-only zero view that takes no memory."""
 
     cfg: OptimizerConfig
     m: np.ndarray
@@ -317,12 +318,18 @@ class OptimizerState:
     step_count: int = 0
     spans: dict = field(default_factory=dict, repr=False)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, OPT_CHUNK)), repr=False)
+    base: int = 0
 
 
-def init_optimizer(opt_cfg: OptimizerConfig, params: TransformerParams) -> OptimizerState:
-    return OptimizerState(
-        cfg=opt_cfg, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat)
-    )
+def init_optimizer(
+    opt_cfg: OptimizerConfig, params: TransformerParams, window: tuple[int, int] | None = None
+) -> OptimizerState:
+    """Zeroed moments over the layout offsets `window` = (lo, hi), all of
+    `params.flat` by default."""
+    lo, hi = window or (params.base, params.base + params.flat.size)
+    m = np.zeros(hi - lo)
+    v = np.zeros(hi - lo) if opt_cfg.kind == "adamw" else np.broadcast_to(0.0, m.shape)
+    return OptimizerState(cfg=opt_cfg, m=m, v=v, base=lo)
 
 
 def optimizer_step(
@@ -343,22 +350,32 @@ def optimizer_step(
     so the result is bitwise that of updating each array at once.
     """
     cfg = state.cfg
-    if grads.flat.shape != params.flat.shape:
-        raise DimensionError(
-            f"gradient buffer {grads.flat.shape} != parameter buffer {params.flat.shape}"
-        )
+    key = frozenset(params.layout if trainable is None else trainable)
+    if key not in state.spans:
+        spans = flat_spans(params, key)
+        if spans:
+            lo, hi = spans[0][0], spans[-1][1]
+            for what, base, size in (
+                ("parameter", params.base, params.flat.size),
+                ("gradient", grads.base, grads.flat.size),
+                ("moment", state.base, state.m.size),
+            ):
+                if lo < base or hi > base + size:
+                    raise DimensionError(
+                        f"{what} buffer covers [{base}, {base + size}), "
+                        f"not the trainable [{lo}, {hi})"
+                    )
+        state.spans[key] = spans
     lr = cfg.lr_at(epoch)
     state.step_count += 1
     t = state.step_count
-    key = frozenset(params.layout if trainable is None else trainable)
-    if key not in state.spans:
-        state.spans[key] = flat_spans(params, key)
     c1 = 1.0 - cfg.beta1**t
     c2 = 1.0 - cfg.beta2**t
     for span_lo, span_hi in state.spans[key]:
         for lo in range(span_lo, span_hi, OPT_CHUNK):
             hi = min(lo + OPT_CHUNK, span_hi)
-            p, g, m = params.flat[lo:hi], grads.flat[lo:hi], state.m[lo:hi]
+            p, g = params.span(lo, hi), grads.span(lo, hi)
+            m = state.m[lo - state.base : hi - state.base]
             a, b = state.scratch[:, : hi - lo]
             if cfg.kind == "sgd_momentum":
                 m *= cfg.momentum
@@ -366,7 +383,7 @@ def optimizer_step(
                 np.multiply(p, cfg.weight_decay, out=a)
                 a += m
             else:
-                v = state.v[lo:hi]
+                v = state.v[lo - state.base : hi - state.base]
                 m *= cfg.beta1
                 np.multiply(g, 1.0 - cfg.beta1, out=a)
                 m += a
@@ -445,41 +462,45 @@ def _train_epochs(
     config_digest: str = "",
     boundary_callback=None,
 ) -> TrainReport:
-    """The epoch loop of pre-training and fine-tuning; updates `params` in
-    place.
+    """The epoch loop of pre-training and fine-tuning; updates `params` (a
+    window or full-size parameters) in place.
 
     Each epoch visits the `count` items in an order drawn from
     [seed, salt, epoch]. `step(i, grads)` writes item i's gradients into
-    `grads`, whose trainable spans are zeroed first, and returns (loss,
-    correct, total), or None to skip the item. The optimizer steps on the
-    trainable arrays every `accumulate` items, with their mean gradient. A
-    FloatingPointError or a non-finite loss raises DivergenceError carrying
-    the parameters after the last whole epoch and the report so far.
-    boundary_callback(epoch, params) fires after each epoch the learning-rate
-    schedule lists (checkpoint hook).
+    `grads`, which is zeroed first, and returns (loss, correct, total), or
+    None to skip the item. The optimizer steps on the trainable arrays every
+    `accumulate` items, with their mean gradient. The gradient, the moments
+    (`v` for AdamW only), the accumulation buffer and the last-good snapshot
+    cover the trainable window only: the layout offsets from the first
+    trainable array to the last. A FloatingPointError or a non-finite loss
+    raises DivergenceError carrying full-size parameters as they were after
+    the last whole epoch, and the report so far. boundary_callback(epoch,
+    params) fires after each epoch the learning-rate schedule lists
+    (checkpoint hook).
     """
     if epochs < 0:
         raise InvalidInput(f"epochs must be >= 0, got {epochs}")
     start = time.perf_counter()
-    state = init_optimizer(opt_cfg, params)
-    spans = flat_spans(params, trainable)
-    # Reused across items: a fresh full-size buffer per step costs page faults.
-    grads = zeros_like_params(params)
-    pending = zeros_like_params(params) if accumulate > 1 else None
-    last_good = clone_params(params)
+    lo, hi = flat_window(params, trainable)
+    state = init_optimizer(opt_cfg, params, (lo, hi))
+    # Reused across items: a fresh buffer per step costs page faults.
+    grads = zeros_window(params.layout, lo, hi)
+    pending = zeros_window(params.layout, lo, hi) if accumulate > 1 else None
+    last_good = params.span(lo, hi).copy()
     history: list[EpochStats] = []
 
     def diverged(message: str) -> DivergenceError:
+        restored = clone_params(params)
+        restored.flat[lo:hi] = last_good
         report = TrainReport(history, time.perf_counter() - start, config_digest, seed)
-        return DivergenceError(message, params=last_good, report=report)
+        return DivergenceError(message, params=restored, report=report)
 
     for epoch in range(epochs):
         order = np.random.default_rng([seed, salt, epoch]).permutation(count)
         losses = []
         correct = total = pending_count = 0
         for i in order:
-            for lo, hi in spans:
-                grads.flat[lo:hi] = 0.0
+            grads.flat.fill(0.0)
             try:
                 result = step(i, grads)
             except FloatingPointError as exc:
@@ -515,7 +536,7 @@ def _train_epochs(
                 lr=opt_cfg.lr_at(epoch),
             )
         )
-        last_good.flat[...] = params.flat
+        last_good[...] = params.span(lo, hi)
         if boundary_callback is not None and any(b == epoch for b, _ in opt_cfg.schedule):
             boundary_callback(epoch, params)
     return TrainReport(history, time.perf_counter() - start, config_digest, seed)

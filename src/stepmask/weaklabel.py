@@ -27,7 +27,7 @@ from .errors import (
     MissingEmbedding,
     ParseError,
 )
-from .schema import read_json
+from .schema import read_json, typed_fields
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -136,16 +136,20 @@ class StepVocabulary:
 
     @classmethod
     def from_json_file(cls, path, embedder: TextEmbedder) -> "StepVocabulary":
-        """Load a JSON array of {id, title, description}; ids must be 0..S-1."""
+        """Load a JSON array of {id, title, description}, each of its exact
+        JSON type (int, string, string); ids must be 0..S-1, each once."""
         records = read_json(path)
         if not isinstance(records, list):
             raise ParseError(f"{path}: expected a JSON array of step objects")
         by_id = {}
-        for rec in records:
-            try:
-                by_id[int(rec["id"])] = (str(rec["title"]), str(rec["description"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: bad step record {rec!r} ({exc})") from exc
+        for n, rec in enumerate(records):
+            where = f"{path}: entry {n}"
+            step_id, title, description = typed_fields(
+                rec, where, id=int, title=str, description=str
+            )
+            if step_id in by_id:
+                raise ParseError(f"{where}: duplicate id {step_id}")
+            by_id[step_id] = (title, description)
         if sorted(by_id) != list(range(len(by_id))):
             raise ParseError(f"{path}: step ids must be contiguous from 0")
         ordered = [by_id[i] for i in range(len(by_id))]

@@ -244,6 +244,19 @@ class TestJsonl:
             assert a.labels == b.labels
             assert np.array_equal(a.clips, b.clips)
 
+    def test_records_naming_one_clip_share_its_ref(self, corpus, tmp_path):
+        bset = build_benchmark_set("mistake_order", corpus.videos[:2], corpus, seed=5, instances_per_video=4)
+        path = tmp_path / "order.jsonl"
+        write_benchmark_jsonl(bset, path)
+        loaded = read_benchmark_jsonl(path, corpus)
+        first, second = loaded.instances[0], loaded.instances[1]
+        assert first.video_id == second.video_id
+        ref = first.clip_refs[0]
+        shared = next(r for r in second.clip_refs if r == ref)
+        assert shared is ref
+        assert ref[0] is corpus.video(ref[0]).video_id
+        assert loaded.digest == bset.digest
+
     @pytest.mark.parametrize(
         "kind, edit, match",
         [

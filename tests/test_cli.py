@@ -330,6 +330,30 @@ class TestCliPipeline:
         assert "vocab.json: 'utf-8' codec can't decode byte 0xff in position 0" in caplog.text
         assert "Traceback" not in capsys.readouterr().err + caplog.text
 
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ({"id": 1.7, "title": 5, "description": "d"}, r"vocab.json: entry 1: id 1.7 is not an integer"),
+            ({"id": 1, "title": 5, "description": "d"}, r"vocab.json: entry 1: title 5 is not a string"),
+            ({"id": True, "title": "t", "description": "d"}, r"vocab.json: entry 1: id True is not an integer"),
+            ({"id": 1, "title": "t"}, r"vocab.json: entry 1: missing 'description'"),
+            ("step", r"vocab.json: entry 1: 'step' is not an object"),
+            ({"id": 0, "title": "t", "description": "d"}, r"vocab.json: entry 1: duplicate id 0"),
+        ],
+        ids=["float_id", "int_title", "bool_id", "missing_description", "not_an_object", "duplicate_id"],
+    )
+    def test_vocab_entry_of_wrong_type_exits_1(self, tmp_path, caplog, capsys, entry, match):
+        config = write_config(tmp_path)
+        assert main(["gen-corpus", str(config)]) == 0
+        vocab = tmp_path / "corpus" / "vocab.json"
+        records = json.loads(vocab.read_text())
+        records[1] = entry
+        vocab.write_text(json.dumps(records))
+        caplog.clear()
+        assert main(["gen-benchmarks", str(config)]) == 1
+        assert re.search(match, caplog.text), caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
     def test_config_that_is_not_utf8_exits_1(self, tmp_path, caplog, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'\xff{"seed": 1}')
@@ -360,6 +384,30 @@ class TestReportAggregation:
         assert main(["report", "--reports", str(reports)]) == 1
         assert re.search(r"eval_step_cls_test.json: .* \(char \d+\)", caplog.text)
         assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda r: r.update(accuracy="x"), r"accuracy 'x' is not a number"),
+            (lambda r: r.pop("split"), r"missing 'split'"),
+            (lambda r: r.pop("correct"), r"missing 'correct'"),
+            (lambda r: r.pop("total"), r"missing 'total'"),
+            (lambda r: r.update(correct=1.5), r"correct 1.5 is not an integer"),
+        ],
+        ids=["string_accuracy", "no_split", "no_correct", "no_total", "float_correct"],
+    )
+    def test_eval_report_row_defect_exits_1(self, tmp_path, caplog, capsys, edit, match):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        rec = {"task": "step_cls", "split": "test", "accuracy": 0.5, "correct": 1,
+               "total": 2, "config_digest": "x", "corpus_digest": "aaa"}
+        edit(rec)
+        (reports / "eval_step_cls_test.json").write_text(json.dumps(rec))
+        assert main(["report", "--reports", str(reports)]) == 1
+        assert re.search("eval_step_cls_test.json: " + match, caplog.text), caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert not (reports / "summary.csv").exists()
 
 
 class TestGradcheckCommand:

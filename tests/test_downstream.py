@@ -3,6 +3,7 @@ import pytest
 
 from stepmask.benchmarks import KINDS, build_benchmark_set, make_long_term
 from stepmask.corpus import CorpusConfig, default_embedder, generate_corpus
+import stepmask.downstream as downstream_module
 from stepmask.downstream import (
     KIND_HEADS,
     FinetuneConfig,
@@ -265,6 +266,81 @@ class TestFinetune:
             FinetuneConfig(task_kind="unknown")
         with pytest.raises(ConfigError):
             FinetuneConfig(task_kind="proc_rec", mode="bogus")
+
+
+# params_digest of a 3-epoch linear probe on the `corpus` fixture (seed 5, two
+# instances per video), measured before the probe cached its hidden rows: the
+# cache must leave every trained bit as it was.
+PROBE_OPTIMIZERS = {
+    "sgd": {},
+    "adamw": dict(optimizer="adamw", lr=1e-2, weight_decay=1e-3, schedule=[(2, 0.5)]),
+}
+PINNED_PROBE_DIGESTS = {
+    ("mistake_step", "sgd", False): "f9961a56cbcf092dda79f623dd155abcf882497069d70f4cefc5396617e962d0",
+    ("mistake_step", "adamw", False): "2d9b1ecddf202d1e10239148ac3ab880e97147bc70940bb1feea17f77f4c0e02",
+    ("mistake_order", "sgd", False): "9c35a992cef6baa0736fecf3bc7173f615ba60bd3ee75bb28bb2144f63c15952",
+    ("mistake_order", "adamw", False): "cff80950ac252e1aa6b7b358e3eeb4d0e06486312cf4488318984e6d2550c266",
+    ("short_term", "sgd", False): "f284d1f5a5e7027677951d76c7d85ff4f223d8b148250de9f75037432b5e3746",
+    ("short_term", "adamw", False): "92df7cfaa5d445c9cd8647d86916360fbae6740ae32d50472a93392ca8909b07",
+    ("long_term", "sgd", False): "275ab5049625681f6738962039d09f5c6677b8479185d83b02f23c51ce0b47ca",
+    ("long_term", "adamw", False): "65377cc2d63380912953bccc1d90364bd002d629e6760e3c1b0ba190ed08c3a3",
+    ("proc_rec", "sgd", False): "5e53c85e542db59d68e4ec16647d1dd4dde87de9500f5344d66765c1c5247fb3",
+    ("proc_rec", "adamw", False): "d634c02e31d5b2b207305f0d74afd659ade6657005f643ab1313d735479371ea",
+    ("step_cls", "sgd", False): "61806da7130345b380e8b7f7228f26511377cffa35d9b556116815764d4421b5",
+    ("step_cls", "adamw", False): "4a90f17244b587ee68a0237c75a78f930b0bf4d0e7f278c6dafb00077043173c",
+    ("proc_rec", "sgd", True): "a6229c83544737781ef0b2282fe631ad7ad6e22fbe192e94e701d8977e610c5a",
+    ("step_cls", "adamw", True): "a12420b1e03c57d71d8d91844eda1448a90ac98cc9eb0f12a99a190540d24800",
+}
+
+
+def _probe_set(corpus, mcfg, kind, use_task_label=False):
+    bset = build_benchmark_set(kind, corpus.videos, corpus, seed=5, instances_per_video=2)
+    if use_task_label:
+        attach_task_embeddings(bset, corpus, default_embedder(corpus.cfg), mcfg.d_in)
+    return bset
+
+
+class TestLinearProbe:
+    @pytest.mark.parametrize("kind, optimizer, use_task_label", sorted(PINNED_PROBE_DIGESTS))
+    def test_pinned_probe_digest(self, corpus, mcfg, pretrained, kind, optimizer, use_task_label):
+        cfg = FinetuneConfig(
+            task_kind=kind, mode="linear_probe", epochs=3, seed=4,
+            use_task_label=use_task_label, **PROBE_OPTIMIZERS[optimizer],
+        )
+        tuned, _ = finetune(pretrained, mcfg, cfg, _probe_set(corpus, mcfg, kind, use_task_label))
+        assert params_digest(tuned) == PINNED_PROBE_DIGESTS[kind, optimizer, use_task_label]
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_backbone_runs_once_per_instance(self, corpus, mcfg, pretrained, monkeypatch, kind, epochs):
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(downstream_module, "forward", counting_forward)
+        bset = _probe_set(corpus, mcfg, kind)
+        cfg = FinetuneConfig(task_kind=kind, mode="linear_probe", epochs=epochs, seed=4)
+        finetune(pretrained, mcfg, cfg, bset)
+        assert len(calls) == (len(bset) if epochs else 0)
+
+    @pytest.mark.parametrize(
+        "errors", [{"over": "raise", "invalid": "raise", "divide": "raise"}, {"all": "ignore"}]
+    )
+    def test_divergence_returns_pretrained_weights(self, corpus, mcfg, pretrained, errors):
+        # One instance's infinite features make the frozen backbone raise when
+        # it first runs, in epoch 0, so the last whole epoch's weights are the
+        # input's.
+        bset = _probe_set(corpus, mcfg, "proc_rec")
+        bset.instances[len(bset) // 2].clips[...] = np.inf
+        cfg = FinetuneConfig(task_kind="proc_rec", mode="linear_probe", epochs=3, seed=4)
+        with np.errstate(**errors), pytest.raises(DivergenceError, match="epoch 0") as exc_info:
+            finetune(pretrained, mcfg, cfg, bset)
+        restored = exc_info.value.params
+        assert restored.flat.size == pretrained.flat.size
+        assert restored.flat.tobytes() == pretrained.flat.tobytes()
+        assert exc_info.value.report.epochs == []
 
 
 class TestEvaluate:

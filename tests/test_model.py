@@ -11,6 +11,8 @@ from stepmask.model import (
     checkpoint_digest,
     clone_params,
     desk_preset,
+    flat_spans,
+    flat_window,
     forward,
     get_array,
     init_params,
@@ -20,7 +22,9 @@ from stepmask.model import (
     params_digest,
     save_checkpoint,
     softmax_logits,
+    window_params,
     zeros_like_params,
+    zeros_window,
 )
 
 
@@ -284,6 +288,32 @@ class TestParamContainers:
         for name, arr in named_arrays(z):
             assert not arr.any()
             assert arr.shape == get_array(params, name).shape
+
+    def test_window_holds_its_span_and_reads_the_rest(self, cfg, params):
+        lo, hi = flat_window(params, {"order_head_w", "mistake_head_b"})
+        assert (lo, hi) == (params.layout["order_head_w"][0], params.layout["forecast.0.w"][0])
+        window = window_params(params, lo, hi)
+        assert (window.base, window.flat.size) == (lo, hi - lo)
+        assert not np.shares_memory(window.flat, params.flat)
+        for name, (offset, _) in params.layout.items():
+            arr = get_array(window, name)
+            assert np.array_equal(arr, get_array(params, name)), name
+            assert arr.flags.writeable == (lo <= offset < hi), name
+        window.mistake_head_b[...] = 7.0
+        full = clone_params(window)
+        assert full.base == 0 and full.flat.size == params.flat.size
+        assert full.flat[window.layout["mistake_head_b"][0]] == 7.0
+        window.mistake_head_b[...] = params.mistake_head_b
+        assert clone_params(window).flat.tobytes() == params.flat.tobytes()
+
+    def test_zeros_window_takes_no_memory_outside(self, params):
+        lo, hi = flat_window(params, {"head_w", "head_b"})
+        z = zeros_window(params.layout, lo, hi)
+        assert z.flat.size == hi - lo
+        assert z.w_in.strides == (0, 0) and not z.w_in.flags.writeable
+        assert np.shares_memory(z.head_b, z.span(*flat_spans(params, {"head_b"})[0]))
+        with pytest.raises(DimensionError, match="straddles"):
+            zeros_window(params.layout, lo + 1, hi)
 
     def test_every_array_is_a_view_of_flat(self, cfg, params, tmp_path):
         path = tmp_path / "model.vtfm"

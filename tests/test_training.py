@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stepmask.corpus import CorpusConfig, generate_corpus
-from stepmask.errors import DivergenceError, InvalidInput, InvalidTarget
+from stepmask.errors import DimensionError, DivergenceError, InvalidInput, InvalidTarget
 from stepmask.model import (
     ModelConfig,
     clone_params,
     flat_spans,
+    flat_window,
     forward,
     get_array,
     init_params,
@@ -15,6 +16,7 @@ from stepmask.model import (
     params_digest,
     softmax_logits,
     zeros_like_params,
+    zeros_window,
 )
 from stepmask.training import (
     MaskSpec,
@@ -389,6 +391,45 @@ class TestChunkedOptimizer:
             assert _bits(state.m[offset : offset + size]) == _bits(ref_m[name]), name
             assert _bits(state.v[offset : offset + size]) == _bits(ref_v[name]), name
 
+    @pytest.mark.parametrize("kind", ["adamw", "sgd_momentum"])
+    def test_window_state_matches_full_state_bitwise(self, kind):
+        opt = OptimizerConfig(kind=kind, lr=0.01, weight_decay=0.05)
+        rng = np.random.default_rng(3)
+        full = init_params(CHUNKED_CFG, seed=3)
+        full.flat[...] += rng.normal(0.0, 0.1, full.flat.size)
+        lo, hi = flat_window(full, SPLIT_TRAINABLE)
+        windowed = clone_params(full)
+        full_state = init_optimizer(opt, full)
+        window_state = init_optimizer(opt, windowed, (lo, hi))
+        for epoch in range(3):
+            grads = zeros_like_params(full)
+            grads.flat[...] = rng.normal(0.0, 1.0, grads.flat.size)
+            window_grads = zeros_window(full.layout, lo, hi)
+            window_grads.flat[...] = grads.flat[lo:hi]
+            optimizer_step(full_state, full, grads, epoch, trainable=SPLIT_TRAINABLE)
+            optimizer_step(window_state, windowed, window_grads, epoch, trainable=SPLIT_TRAINABLE)
+        assert _bits(windowed.flat) == _bits(full.flat)
+        assert _bits(window_state.m) == _bits(full_state.m[lo:hi])
+
+    def test_sgd_allocates_no_second_moment(self):
+        params = init_params(CHUNKED_CFG, seed=0)
+        lo, hi = flat_window(params, {"head_w", "head_b"})
+        sgd = init_optimizer(OptimizerConfig(kind="sgd_momentum", lr=0.1), params, (lo, hi))
+        assert (sgd.base, sgd.m.size) == (lo, hi - lo)
+        assert sgd.v.shape == sgd.m.shape and sgd.v.strides == (0,) and not sgd.v.flags.writeable
+        adamw = init_optimizer(OptimizerConfig(kind="adamw", lr=0.1), params, (lo, hi))
+        assert adamw.v.flags.writeable and adamw.v.size == hi - lo
+
+    def test_buffers_that_miss_the_trainable_arrays_rejected(self):
+        params = init_params(CHUNKED_CFG, seed=0)
+        opt = OptimizerConfig(kind="adamw", lr=0.1)
+        grads = zeros_window(params.layout, *flat_window(params, {"head_b"}))
+        with pytest.raises(DimensionError, match="gradient buffer"):
+            optimizer_step(init_optimizer(opt, params), params, grads, 0, trainable={"head_w", "head_b"})
+        state = init_optimizer(opt, params, flat_window(params, {"head_b"}))
+        with pytest.raises(DimensionError, match="moment buffer"):
+            optimizer_step(state, params, zeros_like_params(params), 0, trainable={"w_in"})
+
 
 @pytest.fixture(scope="module")
 def tiny_corpus():
@@ -504,6 +545,25 @@ class TestSharedLoop:
             if not np.array_equal(arr, get_array(init, name))
         }
         assert changed == {"head_b"}
+
+    def test_state_covers_the_trainable_window(self, cfg):
+        params = init_params(cfg, seed=0)
+        trainable = {"task_head_w", "mistake_head_b"}
+        lo, hi = flat_window(params, trainable)
+        seen = []
+
+        def step(i, grads):
+            seen.append((grads.base, grads.flat.size, grads.task_head_w.any()))
+            grads.task_head_w[...] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                grads.w_in[...] = 1.0
+            return 1.0, 0, 1
+
+        opt = OptimizerConfig(kind="sgd_momentum", lr=0.1)
+        _train_epochs(params, opt, trainable, 2, step, 2, seed=0, salt=17)
+        assert seen == [(lo, hi - lo, False)] * 4
+        # Inside the window but not trainable: left bitwise as it was.
+        assert np.array_equal(params.order_head_w, init_params(cfg, seed=0).order_head_w)
 
     def test_floating_point_error_in_step_diverges(self, cfg):
         params = init_params(cfg, seed=0)
