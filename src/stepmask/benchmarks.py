@@ -359,8 +359,8 @@ def _record_problem(corpus: Corpus, kind, video_id, refs, target, seed) -> str |
         return f"unknown kind {kind!r}"
     if type(seed) is not int:
         return f"seed {seed!r} is not an integer"
-    if type(refs) is not list:
-        return f"clip_refs {refs!r} is not a list"
+    if type(refs) is not list or not refs:
+        return f"clip_refs {refs!r} is not a non-empty list"
     for ref in [[video_id, 0], *refs]:
         if type(ref) is not list or len(ref) != 2 or type(ref[1]) is not int:
             return f"clip ref {ref!r} is not [video_id, clip_index]"
@@ -385,8 +385,9 @@ def _record_problem(corpus: Corpus, kind, video_id, refs, target, seed) -> str |
 
 def read_benchmark_jsonl(path, corpus: Corpus, source_split: str = "file") -> BenchmarkSet:
     """Load instances, resolving clip features and labels via the corpus. A
-    line that is not UTF-8 JSON, or a record that `_record_problem` rejects,
-    raises ParseError naming the path and line."""
+    line that is not UTF-8 JSON, a record that `_record_problem` rejects, or
+    one of another kind than the first record raises ParseError naming the
+    path and line."""
     instances = []
     seed = 0
     with open(path, "rb") as fh:
@@ -401,6 +402,8 @@ def read_benchmark_jsonl(path, corpus: Corpus, source_split: str = "file") -> Be
             except (KeyError, TypeError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             problem = _record_problem(corpus, kind, video_id, refs, target, seed)
+            if not problem and instances and kind != instances[0].kind:
+                problem = f"kind {kind!r} differs from the first record's {instances[0].kind!r}"
             if problem:
                 raise ParseError(f"{path}:{lineno}: {problem}")
             target = tuple(target) if type(target) is list else target
@@ -408,7 +411,4 @@ def read_benchmark_jsonl(path, corpus: Corpus, source_split: str = "file") -> Be
             instances.append(_instance(kind, corpus.video(video_id), target, seed, refs, corpus))
     if not instances:
         raise InvalidInput(f"{path}: empty dataset")
-    kinds = {i.kind for i in instances}
-    if len(kinds) != 1:
-        raise ParseError(f"{path}: mixed instance kinds {sorted(kinds)}")
     return BenchmarkSet(instances[0].kind, instances, source_split, seed)

@@ -7,6 +7,13 @@ pair per output slot, and how targets map to class indices and back.
 `_forward` and `_slot_logits` serve both `predict` and the fine-tune loss, so
 evaluation always scores the logits training optimized.
 
+Inference is batched: `_batches` groups instances by K in input order and
+cuts each group so that a batch's largest intermediate stays within
+BATCH_ELEMENTS float64 values, and `_forward` runs a batch as one stacked
+forward pass whose products are per instance, so every score is bitwise
+that of the instance's own pass. `evaluate` scores whole batches; `predict`
+is a batch of one.
+
 linear_probe trains only the kind's heads; finetune also trains the backbone
 (`model.backbone_names`: input projection, tokens, positional, blocks), never
 the other kinds' heads. Frozen arrays stay bit-identical: the optimizer
@@ -14,13 +21,14 @@ skips them entirely, weight decay included. The epoch loop is the one
 pre-training runs (`training._train_epochs`), and both modes score a slot
 with the same `_slot_loss`.
 
-A linear probe runs the backbone once per instance. The first visit keeps
-the hidden rows the heads read (`_head_rows`: the whole (T, d) matrix for
-main-head kinds, the CLS row, or the clip rows) in one buffer of rows × d ×
-8 bytes that lives for the duration of the `finetune` call; later visits
-train on those rows with the same matmul shapes, so results are
-bit-identical to running the forward pass each time. The training state
-covers the trainable window only, with `v` for AdamW only.
+A linear probe runs the backbone once per instance. Its first step runs
+every instance, batch by batch, and keeps the hidden rows the heads read
+(`_head_rows`: the whole (T, d) matrix for main-head kinds, the CLS row, or
+the clip rows) in one buffer of rows × d × 8 bytes that lives for the
+duration of the `finetune` call; every step trains on one instance's rows
+with the same matmul shapes, so results are bit-identical to running the
+forward pass each time. The training state covers the trainable window
+only, with `v` for AdamW only.
 """
 
 from __future__ import annotations
@@ -90,6 +98,10 @@ KIND_HEADS: dict[str, tuple[str, ...]] = {
     kind: tuple(name for pair in route.heads for name in pair)
     for kind, route in ROUTES.items()
 }
+# The largest intermediate of a batched forward pass, rows (instances ×
+# tokens) × mlp_hidden, in float64 values: 128 rows at d=64, while at d=768
+# every batch is one instance.
+BATCH_ELEMENTS = 32_768
 
 
 @dataclass
@@ -158,9 +170,7 @@ def trainable_names(params: TransformerParams, cfg: FinetuneConfig) -> set[str]:
     return names
 
 
-def _task_token(inst: BenchmarkInstance, use_task_label: bool):
-    if not use_task_label:
-        return None
+def _task_token(inst: BenchmarkInstance):
     if inst.task_name_embedding is None:
         raise InvalidInput(
             f"instance from video {inst.video_id} has no task embedding attached"
@@ -168,47 +178,87 @@ def _task_token(inst: BenchmarkInstance, use_task_label: bool):
     return inst.task_name_embedding
 
 
-def _head_rows(route: Route, inst: BenchmarkInstance, use_task_label: bool):
-    """(rows, at): the slice of the forward pass's hidden rows a route's heads
-    read, and the heads' input within those rows (one row, or every clip
-    row for the pointer head)."""
+def _route(kind) -> Route:
+    route = ROUTES.get(kind)
+    if route is None:
+        raise InvalidInput(f"unknown instance kind {kind!r}")
+    return route
+
+
+def _head_rows(route: Route, k: int, use_task_label: bool):
+    """(T, rows, at): the forward pass's token count for K clips, the slice of
+    its hidden rows a route's heads read, and the heads' input within those
+    rows (one row, or every clip row for the pointer head)."""
     offset = int(route.row == "cls") + int(use_task_label)
-    t = offset + inst.K + int(route.row == "query")
-    return {
+    t = offset + k + int(route.row == "query")
+    return t, *{
         "cls": (slice(0, 1), 0),
         "clip": (slice(0, t), offset),
-        "query": (slice(0, t), offset + inst.K),
+        "query": (slice(0, t), offset + k),
         "clips": (slice(offset, t), slice(None)),
     }[route.row]
 
 
-def _forward(params, mcfg: ModelConfig, inst: BenchmarkInstance, use_task_label: bool):
-    """Forward pass for one instance: (trace, rows, at) as `_head_rows`."""
-    route = ROUTES.get(inst.kind)
-    if route is None:
-        raise InvalidInput(f"unknown instance kind {inst.kind!r}")
-    clips, mask = inst.clips, ()
+def _batches(instances, mcfg: ModelConfig, use_task_label: bool):
+    """Index lists into `instances`, grouped by kind and K in input order and
+    cut so that a batch's rows × mlp_hidden stay within BATCH_ELEMENTS (at
+    least one instance a batch)."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault((inst.kind, inst.K), []).append(i)
+    for (kind, k), indices in groups.items():
+        t = _head_rows(_route(kind), k, use_task_label)[0]
+        size = max(1, BATCH_ELEMENTS // (t * mcfg.mlp_hidden))
+        for lo in range(0, len(indices), size):
+            yield indices[lo : lo + size]
+
+
+def _forward(params, mcfg: ModelConfig, insts, use_task_label: bool, *, stack: bool = True):
+    """One forward pass over instances of one kind and one K, with their
+    query row, CLS token and task tokens assembled: (trace, rows, at) as
+    `_head_rows`. A stack's trace has (B, T, d) hidden rows and no caches;
+    `stack=False` runs its one instance as the 2-D call `backward` takes."""
+    route, k = _route(insts[0].kind), insts[0].K
+    _, rows, at = _head_rows(route, k, use_task_label)
+    clips, mask = np.array([inst.clips for inst in insts]), ()
     if route.row == "query":
-        clips, mask = np.vstack([inst.clips, np.zeros((1, mcfg.d_in))]), (inst.K,)
+        query = np.zeros((len(insts), 1, clips.shape[-1]))
+        clips, mask = np.concatenate([clips, query], axis=1), (k,)
+    tokens = np.array([_task_token(inst) for inst in insts]) if use_task_label else None
+    if not stack:
+        clips, tokens = clips[0], None if tokens is None else tokens[0]
     trace = forward(
-        params, mcfg, clips, mask_set=mask, prepend_cls=route.row == "cls",
-        task_token=_task_token(inst, use_task_label),
+        params, mcfg, clips, mask_set=mask, prepend_cls=route.row == "cls", task_token=tokens,
     )
-    return (trace, *_head_rows(route, inst, use_task_label))
+    return trace, rows, at
 
 
 def _slot_logits(params, route: Route, hidden: np.ndarray, at):
     """[(head input, logits)] with one entry per output slot, from the hidden
-    rows `hidden` the route's heads read."""
-    x = hidden[at]
-    # Keep each head's matmul shape: BLAS rounds a (T, D) product's rows and
-    # a single-row product differently in the last bits.
+    rows (..., R, d) the route's heads read; leading dims stack instances."""
+    x = hidden[..., at, :]
+    # Keep each head's matmul shape per instance: BLAS rounds a (T, D)
+    # product's rows, a one-row product and a stack collapsed into one
+    # product differently in the last bits.
     if route.heads == MAIN_HEAD:
-        return [(x, (hidden @ params.head_w + params.head_b)[at])]
-    return [
-        (x, (x @ get_array(params, w) + get_array(params, b)).reshape(-1))
-        for w, b in route.heads
-    ]
+        return [(x, (hidden @ params.head_w + params.head_b)[..., at, :])]
+    pointer = isinstance(at, slice)  # one score per clip row
+    rows = x if pointer else hidden[..., at : at + 1, :]
+    slots = []
+    for w, b in route.heads:
+        z = rows @ get_array(params, w) + get_array(params, b)
+        slots.append((x, z[..., 0] if pointer else z[..., 0, :]))
+    return slots
+
+
+def _predictions(params, mcfg: ModelConfig, insts, use_task_label: bool) -> list:
+    """Predictions for instances of one kind and one K from one stacked
+    forward pass; ties resolve to the lowest index via argmax."""
+    trace, rows, at = _forward(params, mcfg, insts, use_task_label)
+    route = ROUTES[insts[0].kind]
+    slots = _slot_logits(params, route, trace.hidden[:, rows], at)
+    classes = np.stack([np.argmax(z, axis=-1) for _, z in slots], axis=-1).tolist()
+    return [route.decode(tuple(c), mcfg.s) for c in classes]
 
 
 def predict(
@@ -217,12 +267,8 @@ def predict(
     inst: BenchmarkInstance,
     use_task_label: bool = False,
 ):
-    """Task-specific prediction for one instance; ties resolve to the lowest
-    index via argmax."""
-    trace, rows, at = _forward(params, mcfg, inst, use_task_label)
-    route = ROUTES[inst.kind]
-    slots = _slot_logits(params, route, trace.hidden[rows], at)
-    return route.decode(tuple(int(np.argmax(z)) for _, z in slots), mcfg.s)
+    """Task-specific prediction for one instance: `evaluate`'s batch of one."""
+    return _predictions(params, mcfg, [inst], use_task_label)[0]
 
 
 def _count_correct(inst: BenchmarkInstance, prediction) -> tuple[int, int]:
@@ -244,21 +290,23 @@ def evaluate(
     per_class: bool = False,
 ) -> EvalReport:
     """Accuracy over a benchmark set; NULL forecast slots never enter the
-    denominator. Pure counting, so instance order cannot change the result."""
+    denominator. Pure counting, so instance order cannot change the result.
+    Instances are scored in stacked batches (`_batches`)."""
     if not dataset.instances:
         raise InvalidInput("empty dataset")
     correct = 0
     total = 0
     class_counts: dict[int, list[int]] = {}
-    for inst in dataset.instances:
-        pred = predict(params, mcfg, inst, use_task_label=use_task_label)
-        c, t = _count_correct(inst, pred)
-        correct += c
-        total += t
-        if per_class and isinstance(inst.target, (int, np.integer)):
-            slot = class_counts.setdefault(int(inst.target), [0, 0])
-            slot[0] += c
-            slot[1] += t
+    for batch in _batches(dataset.instances, mcfg, use_task_label):
+        insts = [dataset.instances[i] for i in batch]
+        for inst, pred in zip(insts, _predictions(params, mcfg, insts, use_task_label)):
+            c, t = _count_correct(inst, pred)
+            correct += c
+            total += t
+            if per_class and isinstance(inst.target, (int, np.integer)):
+                slot = class_counts.setdefault(int(inst.target), [0, 0])
+                slot[0] += c
+                slot[1] += t
     return EvalReport(
         task_kind=dataset.kind,
         split=dataset.source_split,
@@ -315,7 +363,7 @@ def _instance_loss_grads(
     """Full fine-tuning's loss step for one instance: forward, `_slot_loss`
     and the backward pass into the transformer. Returns (loss, correct,
     total)."""
-    trace, rows, at = _forward(params, mcfg, inst, cfg.use_task_label)
+    trace, rows, at = _forward(params, mcfg, [inst], cfg.use_task_label, stack=False)
     d_hidden = np.zeros((trace.T, mcfg.d))
     result = _slot_loss(params, mcfg, inst, trace.hidden[rows], at, grads, d_hidden[rows])
     model_backward(params, mcfg, trace, d_hidden=d_hidden, grads=grads)
@@ -323,23 +371,28 @@ def _instance_loss_grads(
 
 
 def _probe_step(params, mcfg: ModelConfig, cfg: FinetuneConfig, instances):
-    """The linear probe's loss step. The first visit to an instance runs the
-    frozen backbone and keeps the hidden rows its heads read, in one buffer
-    for all instances; every visit trains the heads on those rows."""
+    """The linear probe's loss step. The first call runs the frozen backbone
+    over every instance, batch by batch, and keeps the hidden rows each
+    instance's heads read, in one buffer for all instances; every call
+    trains the heads on one instance's rows."""
     route = ROUTES[cfg.task_kind]
-    heads = [_head_rows(route, inst, cfg.use_task_label) for inst in instances]
+    heads = [_head_rows(route, inst.K, cfg.use_task_label)[1:] for inst in instances]
     bounds = np.cumsum([0, *(rows.stop - rows.start for rows, _ in heads)])
     cache = np.empty((int(bounds[-1]), mcfg.d))
-    seen = np.zeros(len(instances), dtype=bool)
+    filled = False
 
     def step(i, grads):
-        inst, (rows, at) = instances[i], heads[i]
+        nonlocal filled
+        if not filled:
+            for batch in _batches(instances, mcfg, cfg.use_task_label):
+                trace, rows, _ = _forward(
+                    params, mcfg, [instances[j] for j in batch], cfg.use_task_label
+                )
+                for j, hidden in zip(batch, trace.hidden[:, rows]):
+                    cache[bounds[j] : bounds[j + 1]] = hidden
+            filled = True
         hidden = cache[bounds[i] : bounds[i + 1]]
-        if not seen[i]:
-            trace, _, _ = _forward(params, mcfg, inst, cfg.use_task_label)
-            hidden[...] = trace.hidden[rows]
-            seen[i] = True
-        return _slot_loss(params, mcfg, inst, hidden, at, grads)
+        return _slot_loss(params, mcfg, instances[i], hidden, heads[i][1], grads)
 
     return step
 

@@ -332,7 +332,14 @@ def init_params(cfg: ModelConfig, seed: int) -> TransformerParams:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    # 0.5 * x * (1 + erf(x / sqrt 2)) with two temporaries of x's size, not
+    # four: a stacked pass's MLP activations are its largest arrays.
+    t = x / _SQRT2
+    erf(t, out=t)
+    t += 1.0
+    out = 0.5 * x
+    out *= t
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -375,13 +382,15 @@ def _layer_norm_backward(dy, xhat, inv, gain):
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    t, d = x.shape
-    return x.reshape(t, heads, d // heads).transpose(1, 0, 2)
+    """(..., T, D) -> (..., heads, T, D / heads)."""
+    *lead, t, d = x.shape
+    return x.reshape((*lead, t, heads, d // heads)).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, t, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dh)
+    """(..., heads, T, dh) -> (..., T, heads * dh)."""
+    *lead, h, t, dh = x.shape
+    return x.swapaxes(-2, -3).reshape((*lead, t, h * dh))
 
 
 @dataclass
@@ -405,26 +414,56 @@ class BlockCache:
 
 @dataclass
 class ForwardTrace:
+    """What a forward pass computed. A single sequence's trace has (T, D)
+    hidden rows and the block caches `backward` needs; a stack's has
+    (B, T, D) hidden rows and no caches or masked clips."""
+
     K: int
     T: int
     offset: int
     prepend_cls: bool
     has_task: bool
     mask: tuple[int, ...]
-    clips_masked: np.ndarray          # (K, D_in), masked rows zeroed
+    clips_masked: np.ndarray | None   # (K, D_in), masked rows zeroed
     task_raw: np.ndarray | None
     block_caches: list[BlockCache] = field(repr=False, default_factory=list)
-    hidden: np.ndarray | None = None  # (T, D)
-    logits: np.ndarray | None = None  # (T, S)
+    hidden: np.ndarray | None = None  # (T, D) or (B, T, D)
+    logits: np.ndarray | None = None  # (T, S) or (B, T, S)
 
     @property
     def clip_hidden(self) -> np.ndarray:
         """Hidden states of clip positions only (reserved tokens dropped)."""
-        return self.hidden[self.offset :]
+        return self.hidden[..., self.offset :, :]
 
     @property
     def clip_logits(self) -> np.ndarray:
-        return self.logits[self.offset :]
+        return self.logits[..., self.offset :, :]
+
+
+def _block_forward(blk: BlockParams, x_in, heads: int, scale: float, record: bool):
+    """One pre-norm block over (..., T, D) tokens: (output, BlockCache), the
+    cache None unless `record`. Its intermediates die with the call, so a
+    stack holds one block's at a time."""
+    a, xhat1, inv1 = _layer_norm(x_in, blk.ln1_gain, blk.ln1_bias)
+    q = _split_heads(a @ blk.wq + blk.bq, heads)
+    kk = _split_heads(a @ blk.wk, heads)
+    v = _split_heads(a @ blk.wv + blk.bv, heads)
+    scores = (q @ kk.swapaxes(-1, -2)) * scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    att = e / e.sum(axis=-1, keepdims=True)
+    concat = _merge_heads(att @ v)
+    x_mid = x_in + concat @ blk.wo + blk.bo
+    m, xhat2, inv2 = _layer_norm(x_mid, blk.ln2_gain, blk.ln2_bias)
+    pre = m @ blk.w_up + blk.b_up
+    act = gelu(pre)
+    out = x_mid + act @ blk.w_down + blk.b_down
+    if not record:
+        return out, None
+    return out, BlockCache(
+        x_in=x_in, a=a, xhat1=xhat1, inv1=inv1, q=q, k=kk, v=v, att=att, concat=concat,
+        x_mid=x_mid, m=m, xhat2=xhat2, inv2=inv2, pre=pre, act=act,
+    )
 
 
 def forward(
@@ -435,18 +474,30 @@ def forward(
     prepend_cls: bool = False,
     task_token: np.ndarray | None = None,
 ) -> ForwardTrace:
-    """Run the transformer over a (partially masked) clip sequence.
+    """Run the transformer over a (partially masked) clip sequence (K, d_in),
+    or over a stack (B, K, d_in) of equal-length sequences that share the
+    mask and the reserved tokens; a stack's task token is (d_in,), shared,
+    or (B, d_in).
 
     Masked clip tokens are replaced by the learned mask token after input
     projection, so outputs depend on masked positions' indices but never on
     their features. Attention is full and bidirectional.
+
+    Every product of a stack runs per sequence (numpy's stacked matmul makes
+    one BLAS call per sequence), so each sequence's hidden rows and logits
+    are bitwise those of its own call. Collapsing a stack into one (B·T, D)
+    product would round differently: a one-row product is a GEMV, not a
+    GEMM. Only a single sequence records the block caches `backward` needs.
     """
     clip_features = np.asarray(clip_features, dtype=np.float64)
-    if clip_features.ndim != 2 or clip_features.shape[1] != cfg.d_in:
+    if clip_features.ndim not in (2, 3) or clip_features.shape[-1] != cfg.d_in:
         raise DimensionError(
-            f"clip features must be (K, {cfg.d_in}), got {clip_features.shape}"
+            f"clip features must be (K, {cfg.d_in}) or (B, K, {cfg.d_in}), "
+            f"got {clip_features.shape}"
         )
-    k_clips = clip_features.shape[0]
+    lead = clip_features.shape[:-2]
+    record = not lead
+    k_clips = clip_features.shape[-2]
     mask = tuple(sorted(set(int(i) for i in mask_set)))
     if mask and (mask[0] < 0 or mask[-1] >= k_clips):
         raise InvalidInput(f"mask indices {mask} outside [0, {k_clips})")
@@ -458,25 +509,27 @@ def forward(
             f"{cfg.max_positions}"
         )
 
-    clips_masked = clip_features.copy()
-    x = clip_features @ params.w_in + params.b_in
+    tokens = np.empty((*lead, t_total, cfg.d))
+    tokens[..., offset:, :] = clip_features @ params.w_in + params.b_in
+    clips_masked = clip_features.copy() if record else None
     for i in mask:
-        x[i] = params.mask_token
-        clips_masked[i] = 0.0
-
-    rows = []
-    task_raw = None
+        tokens[..., offset + i, :] = params.mask_token
+        if record:
+            clips_masked[i] = 0.0
     if prepend_cls:
-        rows.append(params.cls_token[None, :])
+        tokens[..., 0, :] = params.cls_token
+    task_raw = None
     if task_token is not None:
         task_raw = np.asarray(task_token, dtype=np.float64)
-        if task_raw.shape != (cfg.d_in,):
-            raise DimensionError(f"task token must be ({cfg.d_in},), got {task_raw.shape}")
-        rows.append((task_raw @ params.w_in + params.b_in)[None, :])
-    rows.append(x)
-    tokens = np.concatenate(rows, axis=0)
+        if task_raw.shape not in ((cfg.d_in,), (*lead, cfg.d_in)):
+            raise DimensionError(
+                f"task token must be ({cfg.d_in},) or one per sequence, got {task_raw.shape}"
+            )
+        # One (1, d_in) row per sequence: a (B, d_in) product would round
+        # differently from the single sequence's vector product.
+        tokens[..., offset - 1 : offset, :] = task_raw[..., None, :] @ params.w_in + params.b_in
     if cfg.use_positional:
-        tokens = tokens + params.positional[:t_total]
+        tokens += params.positional[:t_total]
 
     trace = ForwardTrace(
         K=k_clips, T=t_total, offset=offset, prepend_cls=prepend_cls,
@@ -486,30 +539,11 @@ def forward(
 
     scale = 1.0 / np.sqrt(cfg.d // cfg.heads)
     for li, blk in enumerate(params.blocks):
-        x_in = tokens
-        a, xhat1, inv1 = _layer_norm(x_in, blk.ln1_gain, blk.ln1_bias)
-        q = _split_heads(a @ blk.wq + blk.bq, cfg.heads)
-        kk = _split_heads(a @ blk.wk, cfg.heads)
-        v = _split_heads(a @ blk.wv + blk.bv, cfg.heads)
-        scores = (q @ kk.transpose(0, 2, 1)) * scale
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        att = e / e.sum(axis=-1, keepdims=True)
-        concat = _merge_heads(att @ v)
-        x_mid = x_in + concat @ blk.wo + blk.bo
-        m, xhat2, inv2 = _layer_norm(x_mid, blk.ln2_gain, blk.ln2_bias)
-        pre = m @ blk.w_up + blk.b_up
-        act = gelu(pre)
-        tokens = x_mid + act @ blk.w_down + blk.b_down
+        tokens, cache = _block_forward(blk, tokens, cfg.heads, scale, record)
         if not np.all(np.isfinite(tokens)):
             raise FloatingPointError(f"non-finite activations after block {li}")
-        trace.block_caches.append(
-            BlockCache(
-                x_in=x_in, a=a, xhat1=xhat1, inv1=inv1, q=q, k=kk, v=v, att=att,
-                concat=concat, x_mid=x_mid, m=m, xhat2=xhat2, inv2=inv2,
-                pre=pre, act=act,
-            )
-        )
+        if record:
+            trace.block_caches.append(cache)
 
     trace.hidden = tokens
     trace.logits = tokens @ params.head_w + params.head_b
@@ -580,7 +614,7 @@ def backward(
     auxiliary heads). Gradients accumulate into `grads` when given.
     """
     if trace.hidden is None or len(trace.block_caches) != cfg.layers:
-        raise TraceError("forward trace is missing or does not match the config")
+        raise TraceError("forward trace is missing, of a stack, or does not match the config")
     if grads is None:
         grads = zeros_like_params(params)
 

@@ -33,12 +33,16 @@ def field_types(cls) -> dict:
 
 def read_json(path):
     """The JSON value in file `path`. Bytes that are not UTF-8 and text that
-    is not JSON raise ParseError naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            raise ParseError(f"{path}: {exc}") from exc
+    is not JSON raise ParseError naming the path and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: {exc} (line {line})") from exc
+    except ValueError as exc:  # JSONDecodeError, whose message names the line
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def check(tp, value, where: str = ""):

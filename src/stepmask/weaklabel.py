@@ -136,24 +136,33 @@ class StepVocabulary:
 
     @classmethod
     def from_json_file(cls, path, embedder: TextEmbedder) -> "StepVocabulary":
-        """Load a JSON array of {id, title, description}, each of its exact
-        JSON type (int, string, string); ids must be 0..S-1, each once."""
+        """Load a non-empty JSON array of {id, title, description}, each of its
+        exact JSON type (int, string, string); ids must be 0..S-1, each once,
+        titles distinct and descriptions embeddable. An entry that breaks a
+        rule raises an error naming the path and the entry."""
         records = read_json(path)
-        if not isinstance(records, list):
-            raise ParseError(f"{path}: expected a JSON array of step objects")
+        if not isinstance(records, list) or not records:
+            raise ParseError(f"{path}: expected a non-empty JSON array of step objects")
         by_id = {}
+        seen_titles = set()
         for n, rec in enumerate(records):
             where = f"{path}: entry {n}"
             step_id, title, description = typed_fields(
                 rec, where, id=int, title=str, description=str
             )
+            if not 0 <= step_id < len(records):
+                raise ParseError(f"{where}: id {step_id} outside [0, {len(records)})")
             if step_id in by_id:
                 raise ParseError(f"{where}: duplicate id {step_id}")
-            by_id[step_id] = (title, description)
-        if sorted(by_id) != list(range(len(by_id))):
-            raise ParseError(f"{path}: step ids must be contiguous from 0")
-        ordered = [by_id[i] for i in range(len(by_id))]
-        return cls.build([t for t, _ in ordered], [d for _, d in ordered], embedder)
+            if title in seen_titles:
+                raise ParseError(f"{where}: duplicate title {title!r}")
+            seen_titles.add(title)
+            try:
+                by_id[step_id] = (title, description, embed_text(embedder, description))
+            except (InvalidInput, MissingEmbedding) as exc:  # blank text, or not in the table
+                raise type(exc)(f"{where}: {exc}") from exc
+        titles, descriptions, embeddings = zip(*(by_id[i] for i in range(len(records))))
+        return cls(list(titles), list(descriptions), np.stack(embeddings), embedder.dim)
 
     def to_json_file(self, path):
         records = [

@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from stepmask.benchmarks import (
@@ -21,8 +23,10 @@ from stepmask.benchmarks import (
 )
 from stepmask.corpus import Clip, Corpus, CorpusConfig, VideoRecord, generate_corpus
 from stepmask.downstream import ROUTES
-from stepmask.errors import InvalidInput, ParseError, SynthesisError
+from stepmask.errors import InvalidInput, ParseError, StepmaskError, SynthesisError
 from stepmask.weaklabel import LabelDistribution
+
+from mutations import mutated
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +232,51 @@ class TestBuilder:
         assert set(KINDS) == set(ROUTES)
 
 
+@pytest.fixture(scope="module")
+def jsonl_files(corpus, tmp_path_factory):
+    """Each kind's benchmark file over three videos, two instances a video."""
+    out = tmp_path_factory.mktemp("jsonl")
+    raw = {}
+    for kind in KINDS:
+        path = out / f"{kind}.jsonl"
+        write_benchmark_jsonl(
+            build_benchmark_set(kind, corpus.videos[:3], corpus, seed=5, instances_per_video=2), path
+        )
+        raw[kind] = path.read_bytes()
+    return out, raw
+
+
 class TestJsonl:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    def test_mutated_file_loads_or_names_the_line(self, corpus, jsonl_files, kind, data):
+        out, raw = jsonl_files
+        path = out / "mutated.jsonl"
+        path.write_bytes(data.draw(mutated(raw[kind]), label="contents"))
+        try:
+            read_benchmark_jsonl(path, corpus)
+        except StepmaskError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_record_without_clips_names_its_line(self, corpus, jsonl_files, kind):
+        out, raw = jsonl_files
+        lines = raw[kind].splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["clip_refs"] = []
+        path = out / "no_clips.jsonl"
+        path.write_bytes(lines[0] + json.dumps(record).encode() + b"\n")
+        with pytest.raises(ParseError, match=r"no_clips.jsonl:2: clip_refs \[\] is not a non-empty list"):
+            read_benchmark_jsonl(path, corpus)
+
+    def test_record_of_another_kind_names_its_line(self, corpus, jsonl_files):
+        out, raw = jsonl_files
+        path = out / "mixed.jsonl"
+        path.write_bytes(raw["proc_rec"] + raw["step_cls"].splitlines(keepends=True)[0])
+        lines = raw["proc_rec"].count(b"\n")
+        with pytest.raises(ParseError, match=rf"mixed.jsonl:{lines + 1}: kind 'step_cls' differs"):
+            read_benchmark_jsonl(path, corpus)
+
     @pytest.mark.parametrize("kind", ["mistake_step", "mistake_order", "short_term", "long_term", "proc_rec", "step_cls"])
     def test_round_trip(self, corpus, kind, tmp_path):
         bset = build_benchmark_set(kind, corpus.videos, corpus, seed=5, source_split="test")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,12 @@ from stepmask.downstream import (
     finetune,
     predict,
     trainable_names,
+    ROUTES,
+    _batches,
     _count_correct,
+    _forward,
     _instance_loss_grads,
+    _slot_logits,
 )
 from stepmask.errors import ConfigError, DivergenceError, InvalidInput
 from stepmask.model import (
@@ -313,17 +319,17 @@ class TestLinearProbe:
     @pytest.mark.parametrize("epochs", [0, 3])
     @pytest.mark.parametrize("kind", KINDS)
     def test_backbone_runs_once_per_instance(self, corpus, mcfg, pretrained, monkeypatch, kind, epochs):
-        calls = []
+        sequences = []
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
+        def counting_forward(params, cfg, clip_features, *args, **kwargs):
+            sequences.append(math.prod(np.shape(clip_features)[:-2]))  # 1 for a 2-D call
+            return forward(params, cfg, clip_features, *args, **kwargs)
 
         monkeypatch.setattr(downstream_module, "forward", counting_forward)
         bset = _probe_set(corpus, mcfg, kind)
         cfg = FinetuneConfig(task_kind=kind, mode="linear_probe", epochs=epochs, seed=4)
         finetune(pretrained, mcfg, cfg, bset)
-        assert len(calls) == (len(bset) if epochs else 0)
+        assert sum(sequences) == (len(bset) if epochs else 0)
 
     @pytest.mark.parametrize(
         "errors", [{"over": "raise", "invalid": "raise", "divide": "raise"}, {"all": "ignore"}]
@@ -380,6 +386,48 @@ class TestEvaluate:
         bset.instances = []
         with pytest.raises(InvalidInput):
             evaluate(pretrained, mcfg, bset)
+
+    @pytest.mark.parametrize("budget", ["default", "three_rows"])
+    @pytest.mark.parametrize("use_task_label", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batches_equal_per_instance_scoring(
+        self, corpus, mcfg, pretrained, monkeypatch, kind, use_task_label, budget
+    ):
+        if budget == "three_rows":
+            monkeypatch.setattr(downstream_module, "BATCH_ELEMENTS", 3 * mcfg.mlp_hidden)
+        bset = build_benchmark_set(kind, corpus.videos, corpus, seed=8, instances_per_video=4)
+        if use_task_label:
+            attach_task_embeddings(bset, corpus, default_embedder(corpus.cfg), mcfg.d_in)
+        batches = list(_batches(bset.instances, mcfg, use_task_label))
+        assert sorted(i for batch in batches for i in batch) == list(range(len(bset)))
+        if kind in ("mistake_step", "mistake_order") or budget == "three_rows":
+            assert len(batches) > 1  # sets larger than one batch
+        if kind == "short_term":
+            assert len({bset.instances[i].K for i in range(len(bset))}) > 1
+
+        report = evaluate(pretrained, mcfg, bset, use_task_label=use_task_label, per_class=True)
+        correct = total = 0
+        class_counts = {}
+        for inst in bset.instances:
+            c, t = _count_correct(inst, predict(pretrained, mcfg, inst, use_task_label))
+            correct, total = correct + c, total + t
+            if isinstance(inst.target, int):
+                counts = class_counts.setdefault(inst.target, [0, 0])
+                counts[0], counts[1] = counts[0] + c, counts[1] + t
+        assert (report.correct, report.total) == (correct, total)
+        assert report.per_class == {k: c / t for k, (c, t) in sorted(class_counts.items())}
+
+        # Each batch's head logits are bitwise those of the instance's own
+        # 2-D pass, the one full fine-tuning runs.
+        route = ROUTES[kind]
+        for batch in batches:
+            insts = [bset.instances[i] for i in batch]
+            trace, rows, at = _forward(pretrained, mcfg, insts, use_task_label)
+            stacked = _slot_logits(pretrained, route, trace.hidden[:, rows], at)
+            for j, inst in enumerate(insts):
+                one, rows, at = _forward(pretrained, mcfg, [inst], use_task_label, stack=False)
+                for (_, z), (_, want) in zip(stacked, _slot_logits(pretrained, route, one.hidden[rows], at)):
+                    assert z[j].tobytes() == want.tobytes()
 
     def test_per_class_accuracy(self, corpus, mcfg, pretrained):
         bset = build_benchmark_set("step_cls", corpus.videos, corpus, seed=8)

@@ -3,8 +3,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stepmask.errors import CapacityError, ConfigError, DimensionError, InvalidInput, ParseError
+from stepmask.errors import (
+    CapacityError,
+    ConfigError,
+    DimensionError,
+    InvalidInput,
+    ParseError,
+    TraceError,
+)
 from stepmask.model import (
     ModelConfig,
     backward,
@@ -151,6 +159,66 @@ class TestForward:
     def test_mask_bounds(self, cfg, params):
         with pytest.raises(InvalidInput):
             forward(params, cfg, random_clips(cfg, 3), mask_set=(3,))
+
+
+# Two widths whose one- and two-token products BLAS rounds differently when a
+# stack is collapsed into one (B·T, D) product.
+STACK_CONFIGS = {
+    "desk": desk_preset(d_in=12, s=9, num_tasks=3),
+    "d96": ModelConfig(d_in=10, d=96, layers=2, heads=3, max_positions=12, s=7, num_tasks=2),
+}
+
+
+@pytest.fixture(scope="module")
+def stack_params():
+    # Weights well above init scale, so attention and the MLP are far from
+    # their near-uniform, near-linear start.
+    out = {}
+    for name, cfg in STACK_CONFIGS.items():
+        p = init_params(cfg, seed=3)
+        p.flat[...] = np.random.default_rng(4).normal(0.0, 0.2, p.flat.size)
+        out[name] = p
+    return out
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("width", sorted(STACK_CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        b=st.integers(1, 9), k=st.integers(1, 8), mask_bits=st.integers(0, 255),
+        prepend_cls=st.booleans(), task=st.sampled_from(["none", "shared", "per_row"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(b=9, k=1, mask_bits=0, prepend_cls=False, task="none", seed=0)
+    @example(b=9, k=1, mask_bits=1, prepend_cls=False, task="per_row", seed=1)
+    @example(b=9, k=2, mask_bits=0, prepend_cls=False, task="none", seed=2)
+    @example(b=9, k=2, mask_bits=2, prepend_cls=True, task="shared", seed=3)
+    @example(b=9, k=1, mask_bits=0, prepend_cls=True, task="per_row", seed=4)
+    def test_stack_is_bitwise_per_sequence_calls(
+        self, stack_params, width, b, k, mask_bits, prepend_cls, task, seed
+    ):
+        cfg, params = STACK_CONFIGS[width], stack_params[width]
+        rng = np.random.default_rng(seed)
+        clips = rng.normal(size=(b, k, cfg.d_in))
+        mask = tuple(i for i in range(k) if mask_bits >> i & 1)
+        tokens = {"none": None, "shared": rng.normal(size=cfg.d_in),
+                  "per_row": rng.normal(size=(b, cfg.d_in))}[task]
+        stacked = forward(params, cfg, clips, mask, prepend_cls, tokens)
+        assert stacked.hidden.shape == (b, stacked.T, cfg.d)
+        assert stacked.block_caches == [] and stacked.clips_masked is None
+        for j in range(b):
+            token = tokens[j] if task == "per_row" else tokens
+            one = forward(params, cfg, clips[j], mask, prepend_cls, token)
+            assert stacked.hidden[j].tobytes() == one.hidden.tobytes(), j
+            assert stacked.logits[j].tobytes() == one.logits.tobytes(), j
+        with pytest.raises(TraceError):
+            backward(params, cfg, stacked, d_logits=np.zeros_like(stacked.logits))
+
+    def test_stack_rejects_a_task_token_of_another_batch(self, cfg, params):
+        with pytest.raises(DimensionError):
+            forward(params, cfg, np.zeros((3, 2, cfg.d_in)), task_token=np.zeros((2, cfg.d_in)))
+        with pytest.raises(DimensionError):
+            forward(params, cfg, np.zeros((2, 3, 2, cfg.d_in)))
 
 
 class TestSoftmaxLogits:

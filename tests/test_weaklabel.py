@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from stepmask.errors import (
     InvalidInput,
     MissingEmbedding,
     ParseError,
+    StepmaskError,
 )
 from stepmask.weaklabel import (
     LabelDistribution,
@@ -19,6 +23,8 @@ from stepmask.weaklabel import (
     truncate_topk,
     weak_label_distribution,
 )
+
+from mutations import mutated
 
 
 @pytest.fixture
@@ -184,3 +190,51 @@ class TestVocabularyIO:
     def test_duplicate_titles_rejected(self, embedder):
         with pytest.raises(InvalidInput):
             StepVocabulary.build(["a", "a"], ["x", "y"], embedder)
+
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            ([], "expected a non-empty JSON array"),
+            ([{"id": 0, "title": "a", "description": "x"}, {"id": 1, "title": "a", "description": "y"}],
+             r"entry 1: duplicate title 'a'"),
+            ([{"id": 0, "title": "a", "description": " "}], r"entry 0: cannot embed empty text"),
+            ([{"id": 0, "title": "a", "description": "x"}, {"id": -1, "title": "b", "description": "y"}],
+             r"entry 1: id -1 outside \[0, 2\)"),
+        ],
+        ids=["empty", "duplicate_title", "blank_description", "negative_id"],
+    )
+    def test_bad_entry_names_the_file_and_entry(self, tmp_path, embedder, records, match):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(records))
+        with pytest.raises(StepmaskError, match=re.escape(str(path)) + ": " + match):
+            StepVocabulary.from_json_file(path, embedder)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_names_the_place(self, vocab_file, embedder_for_fuzz, data):
+        src, path = vocab_file
+        path.write_bytes(data.draw(mutated(src.read_bytes()), label="contents"))
+        try:
+            StepVocabulary.from_json_file(path, embedder_for_fuzz)
+        except StepmaskError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            assert re.search(r"\b(line|entry) \d+", str(exc)), str(exc)
+
+
+@pytest.fixture(scope="module")
+def embedder_for_fuzz():
+    return TextEmbedder(dim=16, seed=7)
+
+
+@pytest.fixture(scope="module")
+def vocab_file(embedder_for_fuzz, tmp_path_factory):
+    """A four-step vocabulary as `to_json_file` writes it, and a path for
+    mutated copies."""
+    out = tmp_path_factory.mktemp("vocab")
+    vocab = StepVocabulary.build(
+        ["crack eggs", "whisk", "heat pan", "pour"],
+        ["crack two eggs", "whisk them", "heat the pan", "pour the eggs in"],
+        embedder_for_fuzz,
+    )
+    vocab.to_json_file(out / "vocab.json")
+    return out / "vocab.json", out / "mutated.json"
