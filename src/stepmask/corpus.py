@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 
 FEATURE_MAGIC = b"STPF"
 FEATURE_VERSION = 1
+FEATURE_HEADER = 4 + 16  # magic, version, d_in, clip count
 
 _TITLE_VERBS = [
     "whisk", "drill", "sand", "fold", "rinse", "clamp", "measure", "pour",
@@ -496,7 +497,7 @@ def read_feature_sidecar(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
     ParseError naming the path and byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
-    header = 4 + 16
+    header = FEATURE_HEADER
     if len(data) < header:
         raise ParseError(f"{path}: file ends inside the header at byte {len(data)}")
     if data[:4] != FEATURE_MAGIC:
@@ -521,6 +522,21 @@ def read_feature_sidecar(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
             )
         table[key] = np.frombuffer(data, dtype="<f4", count=d_in, offset=at + 12).astype(np.float64)
     return d_in, table
+
+
+def _missing_record(path, d_in: int, table, n: int, where: str, key) -> ParseError:
+    """The error for annotated clip `n` (counting from the file's first
+    clip) that has no sidecar record: it names the record that the writer
+    puts in that clip's place."""
+    what = f"{path}: no record for {where} (clip {key[1]} of video hash {key[0]:#x});"
+    keys = list(table)
+    if n >= len(keys):
+        at = FEATURE_HEADER + len(keys) * (12 + 4 * d_in)
+        return ParseError(f"{what} the file ends after {len(keys)} records at byte {at}")
+    at = FEATURE_HEADER + n * (12 + 4 * d_in)
+    return ParseError(
+        f"{what} record {n} holds clip {keys[n][1]} of video hash {keys[n][0]:#x} at byte {at}"
+    )
 
 
 def save_corpus(corpus: Corpus, out_dir, extra: dict | None = None) -> dict:
@@ -574,6 +590,7 @@ def load_annotations(
 
     videos = []
     task_names: dict[int, str] = {}
+    clips_before = 0
     for vi, rec in enumerate(payload["videos"]):
         where = f"{path}: videos[{vi}]"
         video_id, task_id, task_name, steps = typed_fields(
@@ -602,7 +619,9 @@ def load_annotations(
             if feature_table is not None:
                 feature = feature_table.get((vhash, si))
                 if feature is None:
-                    raise ParseError(f"{swhere}: no feature sidecar entry")
+                    raise _missing_record(
+                        features_path, d_in, feature_table, clips_before + si, swhere, (vhash, si)
+                    )
             else:
                 if prototypes is None:
                     prototypes = label_prototypes(vocab, feature_dim or vocab.dim)
@@ -610,6 +629,7 @@ def load_annotations(
             weak = weak_label_distribution(asr, vocab, embedder, k)
             clips.append(Clip(feature=feature, asr=asr, weak=weak, truth=label))
         videos.append(VideoRecord(video_id=video_id, task_id=task_id, clips=clips))
+        clips_before += len(clips)
     return vocab, videos, task_names
 
 

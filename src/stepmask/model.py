@@ -498,6 +498,8 @@ def forward(
     lead = clip_features.shape[:-2]
     record = not lead
     k_clips = clip_features.shape[-2]
+    if k_clips < 1:
+        raise InvalidInput(f"empty clip sequence {clip_features.shape}")
     mask = tuple(sorted(set(int(i) for i in mask_set)))
     if mask and (mask[0] < 0 or mask[-1] >= k_clips):
         raise InvalidInput(f"mask indices {mask} outside [0, {k_clips})")
@@ -556,11 +558,11 @@ def forward(
 def _block_backward(blk: BlockParams, cache: BlockCache, d_out, grads_blk, heads: int):
     d_act_out = d_out
     d_act = d_act_out @ blk.w_down.T
-    grads_blk.w_down += cache.act.T @ d_act_out
+    np.matmul(cache.act.T, d_act_out, out=grads_blk.w_down)
     grads_blk.b_down += d_act_out.sum(axis=0)
     d_pre = d_act * gelu_grad(cache.pre)
     d_m = d_pre @ blk.w_up.T
-    grads_blk.w_up += cache.m.T @ d_pre
+    np.matmul(cache.m.T, d_pre, out=grads_blk.w_up)
     grads_blk.b_up += d_pre.sum(axis=0)
 
     dx_ln2, dg2, db2 = _layer_norm_backward(d_m, cache.xhat2, cache.inv2, blk.ln2_gain)
@@ -570,7 +572,7 @@ def _block_backward(blk: BlockParams, cache: BlockCache, d_out, grads_blk, heads
 
     d_attn_out = d_x_mid
     d_concat = d_attn_out @ blk.wo.T
-    grads_blk.wo += cache.concat.T @ d_attn_out
+    np.matmul(cache.concat.T, d_attn_out, out=grads_blk.wo)
     grads_blk.bo += d_attn_out.sum(axis=0)
 
     d_ctx = _split_heads(d_concat, heads)
@@ -586,10 +588,10 @@ def _block_backward(blk: BlockParams, cache: BlockCache, d_out, grads_blk, heads
     d_kc = _merge_heads(d_k)
     d_vc = _merge_heads(d_v)
     a = cache.a
-    grads_blk.wq += a.T @ d_qc
+    np.matmul(a.T, d_qc, out=grads_blk.wq)
     grads_blk.bq += d_qc.sum(axis=0)
-    grads_blk.wk += a.T @ d_kc
-    grads_blk.wv += a.T @ d_vc
+    np.matmul(a.T, d_kc, out=grads_blk.wk)
+    np.matmul(a.T, d_vc, out=grads_blk.wv)
     grads_blk.bv += d_vc.sum(axis=0)
     d_a = d_qc @ blk.wq.T + d_kc @ blk.wk.T + d_vc @ blk.wv.T
 
@@ -611,7 +613,13 @@ def backward(
 
     d_logits is the loss gradient w.r.t. the main head's (T, S) logits;
     d_hidden adds a direct gradient on the (T, D) hidden states (used by the
-    auxiliary heads). Gradients accumulate into `grads` when given.
+    auxiliary heads). `grads`, when given, arrives zeroed in every array
+    this pass writes: each weight matrix's product goes straight into its
+    array (`np.matmul(..., out=)`, no temporary and no read-modify-write).
+    The result is that of adding into zeros, up to the sign of a zero entry
+    (0.0 + -0.0 is +0.0). The pass never writes the heads other than the
+    main head, nor the main head when d_logits is None, so a caller may fill
+    those first.
     """
     if trace.hidden is None or len(trace.block_caches) != cfg.layers:
         raise TraceError("forward trace is missing, of a stack, or does not match the config")
@@ -620,7 +628,7 @@ def backward(
 
     dh = np.zeros((trace.T, cfg.d), dtype=np.float64)
     if d_logits is not None:
-        grads.head_w += trace.hidden.T @ d_logits
+        np.matmul(trace.hidden.T, d_logits, out=grads.head_w)
         grads.head_b += d_logits.sum(axis=0)
         dh += d_logits @ params.head_w.T
     if d_hidden is not None:
@@ -647,7 +655,10 @@ def backward(
     for i in trace.mask:
         grads.mask_token += d_clip_tokens[i]
         d_clip_tokens[i] = 0.0
-    grads.w_in += trace.clips_masked.T @ d_clip_tokens
+    if trace.has_task:
+        grads.w_in += trace.clips_masked.T @ d_clip_tokens
+    else:
+        np.matmul(trace.clips_masked.T, d_clip_tokens, out=grads.w_in)
     grads.b_in += d_clip_tokens.sum(axis=0)
     return grads
 

@@ -1,8 +1,10 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepmask.corpus import (
     Corpus,
@@ -21,9 +23,11 @@ from stepmask.corpus import (
     synthetic_vocabulary,
 )
 from stepmask.errors import (
-    ConfigError, InvalidAnnotation, InvalidInput, ParseError, VocabularyMismatch,
+    ConfigError, InvalidAnnotation, InvalidInput, ParseError, StepmaskError, VocabularyMismatch,
 )
 from stepmask.weaklabel import TextEmbedder, best_label
+
+from mutations import mutated
 
 
 def small_config(**overrides) -> CorpusConfig:
@@ -300,6 +304,50 @@ class TestFeatureSidecar:
             read_feature_sidecar(path)
         with pytest.raises(ParseError, match=rf"features.stpf: duplicate .* at byte {at}$"):
             load_corpus(path.parent)
+
+    def test_record_for_another_clip_names_its_byte(self, saved):
+        path, record = saved
+        data = bytearray(path.read_bytes())
+        data[self.HEADER + record + 8 : self.HEADER + record + 12] = (99).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        message = (
+            r"features.stpf: no record for .*videos\[0\]\.steps\[1\] \(clip 1 of video hash .*\);"
+            rf" record 1 holds clip 99 of video hash .* at byte {self.HEADER + record}$"
+        )
+        with pytest.raises(ParseError, match=message):
+            load_corpus(path.parent)
+
+    def test_missing_last_record_names_the_end(self, saved):
+        path, record = saved
+        data = bytearray(path.read_bytes()[:-record])
+        count = int.from_bytes(data[12:20], "little")
+        data[12:20] = (count - 1).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        message = rf"the file ends after {count - 1} records at byte {len(data)}$"
+        with pytest.raises(ParseError, match=message):
+            load_corpus(path.parent)
+
+
+@pytest.fixture(scope="module")
+def saved_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzzed_corpus")
+    save_corpus(generate_corpus(small_config(feature_dim=2)), out)
+    return out, (out / "features.stpf").read_bytes()
+
+
+class TestFeatureSidecarFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_sidecar_loads_or_names_the_byte(self, saved_corpus, data):
+        out, raw = saved_corpus
+        path = out / "features.stpf"
+        path.write_bytes(data.draw(mutated(raw), label="contents"))
+        try:
+            load_corpus(out)
+        except StepmaskError as exc:
+            assert re.fullmatch(rf"{re.escape(str(path))}: .* at byte \d+", str(exc), re.S), str(exc)
+        finally:
+            path.write_bytes(raw)
 
 
 class TestSplit:

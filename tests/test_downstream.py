@@ -274,6 +274,52 @@ class TestFinetune:
             FinetuneConfig(task_kind="proc_rec", mode="bogus")
 
 
+# params_digest of the `pretrained` fixture, of a 3-epoch SGD pre-training
+# (weight decay, gradient accumulation) and of 2-epoch full fine-tunes on the
+# `corpus` fixture, measured with the single-threaded optimizer update and the
+# accumulating backward pass: splitting the update over two threads and
+# writing weight gradients in place must leave every trained bit as it was.
+PINNED_TRAINING_DIGESTS = {
+    ("pretrain", "adamw"): "a4c0e37fb6a190eb5c31c6231d381fe012f13244e535b9aec0d9800f0e51a29d",
+    ("pretrain", "sgd"): "336024f819fc247384d533552bde145a47f1a09ed64acff47c6ca3ac9f5bda10",
+    ("finetune", "mistake_order"): "e2f58b57ad2068d835dffc561d2b0410c5e3a9b28c81021b10feb3e9bdd053ef",
+    ("finetune", "step_cls"): "db1403d5e55fcda6873f4a42f27284b9fba70218f3e3a4208ddc6dc1d0dfa455",
+    ("finetune", "proc_rec"): "e829566099db5069449c68d66a79b738846efd8acf2fc8fd3f344d163d297074",
+    ("finetune", "mistake_step"): "1e3790edfd2d826eabab2a20c7b018783bd21f52c67ebf27ef76a5b48277f6d4",
+    ("finetune", "long_term"): "a285b54751d192b8533b48e82d1490f63a31496221db1174bf46e03869a6f6db",
+}
+FULL_FINETUNES = {
+    "mistake_order": (dict(optimizer="adamw", lr=1e-3), False),
+    "step_cls": (dict(lr=1e-4), False),
+    "proc_rec": (dict(optimizer="adamw", lr=1e-3, weight_decay=1e-4, schedule=[(1, 0.5)]), True),
+    "mistake_step": (dict(optimizer="adamw", lr=1e-3), False),
+    "long_term": (dict(lr=1e-4, weight_decay=1e-4), False),
+}
+
+
+class TestPinnedTraining:
+    def test_pretraining(self, corpus, mcfg, pretrained):
+        assert params_digest(pretrained) == PINNED_TRAINING_DIGESTS["pretrain", "adamw"]
+        params, _ = pretrain(
+            corpus.videos, corpus.vocab, mcfg, MaskSpec(ratio=0.5, seed=3), "dm",
+            OptimizerConfig(kind="sgd_momentum", lr=1e-2, weight_decay=1e-4, schedule=[(1, 0.5)]),
+            epochs=3, seed=4, accumulate=3,
+        )
+        assert params_digest(params) == PINNED_TRAINING_DIGESTS["pretrain", "sgd"]
+
+    @pytest.mark.parametrize("kind", sorted(FULL_FINETUNES))
+    def test_full_finetune(self, corpus, mcfg, pretrained, kind):
+        opt, use_task_label = FULL_FINETUNES[kind]
+        bset = build_benchmark_set(kind, corpus.videos, corpus, seed=5)
+        if use_task_label:
+            attach_task_embeddings(bset, corpus, default_embedder(corpus.cfg), mcfg.d_in)
+        cfg = FinetuneConfig(
+            task_kind=kind, mode="finetune", epochs=2, seed=1, use_task_label=use_task_label, **opt
+        )
+        tuned, _ = finetune(pretrained, mcfg, cfg, bset)
+        assert params_digest(tuned) == PINNED_TRAINING_DIGESTS["finetune", kind]
+
+
 # params_digest of a 3-epoch linear probe on the `corpus` fixture (seed 5, two
 # instances per video), measured before the probe cached its hidden rows: the
 # cache must leave every trained bit as it was.

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -11,8 +12,10 @@ from stepmask.errors import (
     DimensionError,
     InvalidInput,
     ParseError,
+    StepmaskError,
     TraceError,
 )
+from mutations import mutated
 from stepmask.model import (
     ModelConfig,
     backward,
@@ -27,12 +30,16 @@ from stepmask.model import (
     load_checkpoint,
     named_arrays,
     full_preset,
+    gelu_grad,
     params_digest,
     save_checkpoint,
     softmax_logits,
     window_params,
     zeros_like_params,
     zeros_window,
+    _layer_norm_backward,
+    _merge_heads,
+    _split_heads,
 )
 
 
@@ -160,6 +167,12 @@ class TestForward:
         with pytest.raises(InvalidInput):
             forward(params, cfg, random_clips(cfg, 3), mask_set=(3,))
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["single", "stack"])
+    @pytest.mark.parametrize("prepend_cls", [False, True])
+    def test_empty_clip_sequence_rejected(self, cfg, params, shape, prepend_cls):
+        with pytest.raises(InvalidInput, match="empty clip sequence"):
+            forward(params, cfg, np.zeros((*shape, cfg.d_in)), prepend_cls=prepend_cls)
+
 
 # Two widths whose one- and two-token products BLAS rounds differently when a
 # stack is collapsed into one (B·T, D) product.
@@ -219,6 +232,103 @@ class TestStackedForward:
             forward(params, cfg, np.zeros((3, 2, cfg.d_in)), task_token=np.zeros((2, cfg.d_in)))
         with pytest.raises(DimensionError):
             forward(params, cfg, np.zeros((2, 3, 2, cfg.d_in)))
+
+
+def accumulating_backward(params, cfg, trace, d_logits=None, d_hidden=None):
+    """The backward pass as it was before weight gradients were written in
+    place: every gradient, weight matrices included, added into zeros. The
+    reference `backward` must equal."""
+    grads = zeros_like_params(params)
+    dh = np.zeros((trace.T, cfg.d))
+    if d_logits is not None:
+        grads.head_w += trace.hidden.T @ d_logits
+        grads.head_b += d_logits.sum(axis=0)
+        dh += d_logits @ params.head_w.T
+    if d_hidden is not None:
+        dh = dh + d_hidden
+    for blk, cache, g in zip(
+        reversed(params.blocks), reversed(trace.block_caches), reversed(grads.blocks)
+    ):
+        d_act = dh @ blk.w_down.T
+        g.w_down += cache.act.T @ dh
+        g.b_down += dh.sum(axis=0)
+        d_pre = d_act * gelu_grad(cache.pre)
+        d_m = d_pre @ blk.w_up.T
+        g.w_up += cache.m.T @ d_pre
+        g.b_up += d_pre.sum(axis=0)
+        dx_ln2, dg2, db2 = _layer_norm_backward(d_m, cache.xhat2, cache.inv2, blk.ln2_gain)
+        g.ln2_gain += dg2
+        g.ln2_bias += db2
+        d_x_mid = dh + dx_ln2
+        d_concat = d_x_mid @ blk.wo.T
+        g.wo += cache.concat.T @ d_x_mid
+        g.bo += d_x_mid.sum(axis=0)
+        d_ctx = _split_heads(d_concat, cfg.heads)
+        d_att = d_ctx @ cache.v.transpose(0, 2, 1)
+        d_v = cache.att.transpose(0, 2, 1) @ d_ctx
+        d_scores = (d_att - (d_att * cache.att).sum(axis=-1, keepdims=True)) * cache.att
+        d_scores *= 1.0 / np.sqrt(cache.q.shape[-1])
+        d_q = d_scores @ cache.k
+        d_k = d_scores.transpose(0, 2, 1) @ cache.q
+        d_qc, d_kc, d_vc = _merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v)
+        g.wq += cache.a.T @ d_qc
+        g.bq += d_qc.sum(axis=0)
+        g.wk += cache.a.T @ d_kc
+        g.wv += cache.a.T @ d_vc
+        g.bv += d_vc.sum(axis=0)
+        d_a = d_qc @ blk.wq.T + d_kc @ blk.wk.T + d_vc @ blk.wv.T
+        dx_ln1, dg1, db1 = _layer_norm_backward(d_a, cache.xhat1, cache.inv1, blk.ln1_gain)
+        g.ln1_gain += dg1
+        g.ln1_bias += db1
+        dh = d_x_mid + dx_ln1
+    if cfg.use_positional:
+        grads.positional[: trace.T] += dh
+    row = 0
+    if trace.prepend_cls:
+        grads.cls_token += dh[0]
+        row += 1
+    if trace.has_task:
+        grads.w_in += np.outer(trace.task_raw, dh[row])
+        grads.b_in += dh[row]
+        row += 1
+    d_clip_tokens = dh[row:].copy()
+    for i in trace.mask:
+        grads.mask_token += d_clip_tokens[i]
+        d_clip_tokens[i] = 0.0
+    grads.w_in += trace.clips_masked.T @ d_clip_tokens
+    grads.b_in += d_clip_tokens.sum(axis=0)
+    return grads
+
+
+class TestBackwardInPlace:
+    @pytest.mark.parametrize("width", sorted(STACK_CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 8), mask_bits=st.integers(0, 255), prepend_cls=st.booleans(),
+        task=st.booleans(), outputs=st.sampled_from(["logits", "hidden", "both"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(k=1, mask_bits=1, prepend_cls=False, task=False, outputs="logits", seed=0)
+    @example(k=3, mask_bits=5, prepend_cls=True, task=True, outputs="both", seed=1)
+    def test_equals_accumulating_into_zeros(
+        self, stack_params, width, k, mask_bits, prepend_cls, task, outputs, seed
+    ):
+        cfg, params = STACK_CONFIGS[width], stack_params[width]
+        rng = np.random.default_rng(seed)
+        mask = tuple(i for i in range(k) if mask_bits >> i & 1)
+        token = rng.normal(size=cfg.d_in) if task else None
+        trace = forward(params, cfg, rng.normal(size=(k, cfg.d_in)), mask, prepend_cls, token)
+        d_logits = rng.normal(size=trace.logits.shape) if outputs != "hidden" else None
+        d_hidden = rng.normal(size=trace.hidden.shape) if outputs != "logits" else None
+        expected = accumulating_backward(params, cfg, trace, d_logits, d_hidden)
+        into = zeros_like_params(params)
+        assert backward(params, cfg, trace, d_logits, d_hidden, grads=into) is into
+        for (name, got), (_, want) in zip(named_arrays(into), named_arrays(expected)):
+            assert np.array_equal(got, want), name
+        for (name, got), (_, want) in zip(
+            named_arrays(backward(params, cfg, trace, d_logits, d_hidden)), named_arrays(expected)
+        ):
+            assert np.array_equal(got, want), name
 
 
 class TestSoftmaxLogits:
@@ -339,6 +449,28 @@ class TestCheckpointErrors:
             load_checkpoint(path)
         with pytest.raises(ParseError, match=r"at byte \d+$"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    # Small enough that headers and shapes are a good share of the bytes.
+    cfg = ModelConfig(d_in=2, d=2, layers=1, heads=1, max_positions=2, s=2, num_tasks=1)
+    path = tmp_path_factory.mktemp("fuzzed_checkpoint") / "model.vtfm"
+    save_checkpoint(path, init_params(cfg, seed=0), cfg)
+    return path, path.read_bytes()
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_loads_or_names_the_byte(self, tiny_checkpoint, data):
+        original, raw = tiny_checkpoint
+        path = original.with_name("mutated.vtfm")
+        path.write_bytes(data.draw(mutated(raw), label="contents"))
+        try:
+            load_checkpoint(path)
+        except StepmaskError as exc:
+            assert re.fullmatch(rf"{re.escape(str(path))}: .* at byte \d+", str(exc), re.S), str(exc)
 
 
 class TestParamContainers:

@@ -1,7 +1,14 @@
+import multiprocessing
+import sys
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import stepmask.training as training
 from stepmask.corpus import CorpusConfig, generate_corpus
 from stepmask.errors import DimensionError, DivergenceError, InvalidInput, InvalidTarget
 from stepmask.model import (
@@ -643,3 +650,295 @@ class TestGradientAudit:
         assert set(errors) == {"sc", "dm"}
         for kind, err in errors.items():
             assert err < 1e-5, kind
+
+
+# --- the two-thread update ---------------------------------------------------
+
+
+def serial_step(state, params, grads, epoch, trainable=None):
+    """The optimizer update as one thread ran it before the split, weight
+    decay term included when it is zero: the reference the split update must
+    equal bit for bit."""
+    cfg = state.cfg
+    key = frozenset(params.layout if trainable is None else trainable)
+    lr = cfg.lr_at(epoch)
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - cfg.beta1**t
+    c2 = 1.0 - cfg.beta2**t
+    scratch = np.empty((2, OPT_CHUNK))
+    for span_lo, span_hi in flat_spans(params, key):
+        for lo in range(span_lo, span_hi, OPT_CHUNK):
+            hi = min(lo + OPT_CHUNK, span_hi)
+            p, g = params.span(lo, hi), grads.span(lo, hi)
+            m = state.m[lo - state.base : hi - state.base]
+            a, b = scratch[:, : hi - lo]
+            if cfg.kind == "sgd_momentum":
+                m *= cfg.momentum
+                m += g
+                np.multiply(p, cfg.weight_decay, out=a)
+                a += m
+            else:
+                v = state.v[lo - state.base : hi - state.base]
+                m *= cfg.beta1
+                np.multiply(g, 1.0 - cfg.beta1, out=a)
+                m += a
+                v *= cfg.beta2
+                np.multiply(g, 1.0 - cfg.beta2, out=a)
+                a *= g
+                v += a
+                np.divide(m, c1, out=a)
+                np.divide(v, c2, out=b)
+                np.sqrt(b, out=b)
+                b += cfg.eps
+                a /= b
+                np.multiply(p, cfg.weight_decay, out=b)
+                a += b
+            a *= lr
+            p -= a
+
+
+# The split threshold the tests below run at, unless they say otherwise: the
+# real one (SPLIT_ELEMENTS) would make every array they build 16 times larger.
+SPLIT = 2 * OPT_CHUNK
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(training, "_cpus", lambda: 2)
+    monkeypatch.setattr(training, "SPLIT_ELEMENTS", SPLIT)
+
+
+# At d=1 the input projection has d_in elements and the positional table
+# max_positions: two arrays of any size, three elements apart in the layout.
+BIG = ("w_in", "positional")
+SMALL = ("b_in", "mask_token", "blocks.0.wq", "blocks.0.w_up", "head_b", "forecast.2.b")
+
+
+def sized_config(sizes: dict[str, int]) -> ModelConfig:
+    return ModelConfig(
+        d_in=sizes.get("w_in", 1), d=1, layers=1, heads=1,
+        max_positions=sizes.get("positional", 1), s=5, num_tasks=2,
+    )
+
+
+@st.composite
+def split_problems(draw):
+    """A config, a trainable set and the sizes of its big arrays such that
+    the trainable elements total a drawn count, often at the split
+    threshold."""
+    trainable = draw(st.none() | st.sets(st.sampled_from(BIG + SMALL), min_size=1))
+    unit = init_params(sized_config({}), 0)
+    chosen = unit.layout if trainable is None else trainable
+    big = [name for name in BIG if name in chosen]
+    small = sum(get_array(unit, name).size for name in chosen if name not in BIG)
+    target = draw(
+        st.integers(SPLIT - 3, SPLIT + 3)
+        | st.integers(1, 3 * OPT_CHUNK)
+    )
+    room = max(target - small, len(big))
+    sizes = {}
+    if len(big) == 2:
+        first = draw(st.integers(1, room - 1))
+        sizes = {big[0]: first, big[1]: room - first}
+    elif big:
+        sizes = {big[0]: room}
+    return sized_config(sizes), trainable
+
+
+def _signed_zeros(rng, flat):
+    """Set a few entries of `flat` to +0.0 and a few to -0.0."""
+    flat[rng.random(flat.size) < 0.05] = 0.0
+    flat[rng.random(flat.size) < 0.05] = -0.0
+
+
+class TestSplitOptimizer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=split_problems(),
+        kind=st.sampled_from(["adamw", "sgd_momentum"]),
+        weight_decay=st.sampled_from([0.0, 1e-4]),
+        steps=st.integers(1, 3),
+        cpus=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_serial_update_bitwise(self, problem, kind, weight_decay, steps, cpus, seed):
+        cfg, trainable = problem
+        opt = OptimizerConfig(kind=kind, lr=0.01, weight_decay=weight_decay, schedule=[(1, 0.5)])
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, seed=seed)
+        params.flat[...] += rng.normal(0.0, 0.1, params.flat.size)
+        _signed_zeros(rng, params.flat)
+        reference = clone_params(params)
+        state, ref_state = init_optimizer(opt, params), init_optimizer(opt, reference)
+        with mock.patch.object(training, "_cpus", return_value=cpus), \
+                mock.patch.object(training, "SPLIT_ELEMENTS", SPLIT):
+            for epoch in range(steps):
+                grads = zeros_like_params(params)
+                grads.flat[...] = rng.normal(0.0, 1.0, grads.flat.size)
+                _signed_zeros(rng, grads.flat)
+                optimizer_step(state, params, grads, epoch, trainable=trainable)
+                serial_step(ref_state, reference, grads, epoch, trainable=trainable)
+        assert params.flat.tobytes() == reference.flat.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert np.asarray(state.v).tobytes() == np.asarray(ref_state.v).tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_splits_from_the_threshold(self, monkeypatch, offset):
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        total = training.SPLIT_ELEMENTS + offset
+        halves = self._halves_run(monkeypatch, sized_config({"w_in": total}), {"w_in"})
+        if offset < 0:
+            assert halves == [("caller", [(0, total)])]
+        else:
+            assert halves == [("caller", [(0, total // 2)]), ("worker", [(total // 2, total)])]
+
+    def test_one_cpu_runs_inline(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(training, "_cpus", lambda: 1)
+        total = 3 * OPT_CHUNK
+        halves = self._halves_run(monkeypatch, sized_config({"w_in": total}), {"w_in"})
+        assert halves == [("caller", [(0, total)])]
+
+    def test_cut_falls_inside_the_span_holding_the_midpoint(self, monkeypatch, two_cpus):
+        cfg = sized_config({"w_in": 3 * OPT_CHUNK, "positional": OPT_CHUNK})
+        params = init_params(cfg, seed=0)
+        (w_lo, w_hi), (p_lo, p_hi) = flat_spans(params, BIG)
+        halves = self._halves_run(monkeypatch, cfg, set(BIG))
+        cut = w_lo + 2 * OPT_CHUNK
+        assert halves == [("caller", [(w_lo, cut)]), ("worker", [(cut, w_hi), (p_lo, p_hi)])]
+
+    @staticmethod
+    def _halves_run(monkeypatch, cfg, trainable):
+        """The spans each thread updated in one step, caller first; the
+        worker is held back so that a step returning early would miss it."""
+        done = []
+        update = training._update
+
+        def recorded(state, params, grads, spans, *rest):
+            worker = threading.current_thread() is not threading.main_thread()
+            if worker:
+                time.sleep(0.05)
+            update(state, params, grads, spans, *rest)
+            done.append(("worker" if worker else "caller", list(spans)))
+
+        monkeypatch.setattr(training, "_update", recorded)
+        params = init_params(cfg, seed=0)
+        state = init_optimizer(OptimizerConfig(kind="adamw", lr=0.01), params)
+        optimizer_step(state, params, zeros_like_params(params), 0, trainable=trainable)
+        return sorted(done)
+
+    def test_worker_half_raises_under_the_callers_error_state(self, two_cpus):
+        total = SPLIT + 7
+        params = init_params(sized_config({"w_in": total}), seed=0)
+        grads = zeros_like_params(params)
+        grads.w_in[-1] = 1e200  # in the second half: g * g overflows
+        state = init_optimizer(OptimizerConfig(kind="adamw", lr=0.01), params)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            optimizer_step(state, params, grads, 0, trainable={"w_in"})
+
+    def test_caller_error_waits_for_the_worker(self, monkeypatch, two_cpus):
+        finished = []
+        update = training._update
+
+        def slow_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.1)
+                update(*args)
+                finished.append("worker")
+            else:
+                update(*args)
+
+        monkeypatch.setattr(training, "_update", slow_worker)
+        params = init_params(sized_config({"w_in": 3 * OPT_CHUNK}), seed=0)
+        grads = zeros_like_params(params)
+        grads.w_in[0] = 1e200  # in the caller's half
+        state = init_optimizer(OptimizerConfig(kind="adamw", lr=0.01), params)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            optimizer_step(state, params, grads, 0, trainable={"w_in"})
+        assert finished == ["worker"]
+
+    def test_concurrent_callers_share_the_worker(self, two_cpus):
+        # More callers than CPUs, each with its own state, all splitting
+        # through the one worker thread while the interpreter switches
+        # threads often: each must end bitwise where a serial run ends.
+        cfg = sized_config({"w_in": SPLIT + 5})
+        opt = OptimizerConfig(kind="adamw", lr=0.01, weight_decay=1e-4)
+        runs = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            params = init_params(cfg, seed=seed)
+            grads = zeros_like_params(params)
+            grads.flat[...] = rng.normal(size=grads.flat.size)
+            reference = clone_params(params)
+            ref_state = init_optimizer(opt, reference)
+            for epoch in range(3):
+                serial_step(ref_state, reference, grads, epoch)
+            runs.append((params, init_optimizer(opt, params), grads, reference))
+
+        def train(params, state, grads, _):
+            for epoch in range(3):
+                optimizer_step(state, params, grads, epoch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=train, args=run) for run in runs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for params, _, _, reference in runs:
+            assert params.flat.tobytes() == reference.flat.tobytes()
+
+    def test_forked_child_starts_its_own_worker(self, two_cpus):
+        # A child forked after a split step has the parent's executor but
+        # not its thread; the child's own split steps must still finish.
+        params = init_params(sized_config({"w_in": SPLIT}), seed=0)
+        state = init_optimizer(OptimizerConfig(kind="adamw", lr=0.01), params)
+        grads = zeros_like_params(params)
+        optimizer_step(state, params, grads, 0)
+        child = multiprocessing.get_context("fork").Process(
+            target=optimizer_step, args=(state, params, grads, 1)
+        )
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+
+class TestOptimizerDivergence:
+    @pytest.mark.parametrize("accumulate", [1, 4])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize(
+        "trainable", [{"head_b"}, None], ids=["below_split", "above_split"]
+    )
+    def test_overflow_in_the_update_diverges(self, two_cpus, trainable, where, accumulate):
+        cfg = CHUNKED_CFG
+        params = init_params(cfg, seed=0)
+        trainable = set(params.layout) if trainable is None else trainable
+        lo, hi = flat_window(params, trainable)
+        assert (hi - lo >= SPLIT) == (len(trainable) > 1)
+        snapshots = []
+
+        def step(i, grads):
+            grads.flat[...] = 1e-3
+            if len(snapshots) == 1:  # epoch 1: a finite gradient whose square overflows
+                grads.flat[0 if where == "first" else -1] = 1e200
+            return 1.0, 0, 1
+
+        opt = OptimizerConfig(kind="adamw", lr=1e-3, schedule=[(0, 1.0)])
+        with np.errstate(over="raise"), pytest.raises(
+            DivergenceError, match="^epoch 1: overflow"
+        ) as exc_info:
+            _train_epochs(
+                params, opt, trainable, 3, step, 3, seed=0, salt=17, accumulate=accumulate,
+                boundary_callback=lambda epoch, p: snapshots.append(clone_params(p)),
+            )
+        assert params_digest(exc_info.value.params) == params_digest(snapshots[0])
+        assert len(exc_info.value.report.epochs) == 1
