@@ -363,9 +363,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    np.seterr(over="raise", invalid="raise", divide="raise")
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (DivergenceError, SynthesisError, FloatingPointError) as exc:
         logger.error("%s", exc)
         return 2

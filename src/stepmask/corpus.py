@@ -493,8 +493,8 @@ def feature_sidecar_bytes(videos: list[VideoRecord]) -> bytes:
 
 def read_feature_sidecar(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
     """Returns (d_in, {(video_hash, clip_index): float64 feature}). A file
-    that does not match the format, or that holds one clip twice, raises
-    ParseError naming the path and byte offset."""
+    that does not match the format, holds one clip twice or holds a NaN or
+    infinite feature value raises ParseError naming the path and byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = FEATURE_HEADER
@@ -520,7 +520,16 @@ def read_feature_sidecar(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
             raise ParseError(
                 f"{path}: duplicate record for clip {key[1]} of video hash {key[0]:#x} at byte {at}"
             )
-        table[key] = np.frombuffer(data, dtype="<f4", count=d_in, offset=at + 12).astype(np.float64)
+        # Test the exponent bits as integers so that a NaN raises no
+        # floating-point error under np.errstate(invalid="raise").
+        bits = np.frombuffer(data, dtype="<u4", count=d_in, offset=at + 12)
+        bad = np.flatnonzero((bits & 0x7F800000) == 0x7F800000)
+        if bad.size:
+            raise ParseError(
+                f"{path}: non-finite feature value in clip {key[1]} of video hash {key[0]:#x}"
+                f" at byte {at + 12 + 4 * int(bad[0])}"
+            )
+        table[key] = bits.view("<f4").astype(np.float64)
     return d_in, table
 
 

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stepmask.cli import main
@@ -418,3 +419,9 @@ class TestGradcheckCommand:
         assert out["pass"] is True
         assert out["max_relative_error"] < 1e-5
         assert set(out["errors"]) == {"sc", "dm"}
+
+    def test_main_leaves_the_float_error_state_as_it_found_it(self, capsys):
+        before = np.geterr()
+        assert main(["gradcheck"]) == 0
+        capsys.readouterr()
+        assert np.geterr() == before

@@ -305,6 +305,19 @@ class TestFeatureSidecar:
         with pytest.raises(ParseError, match=rf"features.stpf: duplicate .* at byte {at}$"):
             load_corpus(path.parent)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_its_byte(self, saved, value):
+        path, record = saved
+        data = bytearray(path.read_bytes())
+        at = self.HEADER + record + 12 + 4
+        data[at : at + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+        with np.errstate(invalid="raise"):
+            with pytest.raises(ParseError, match=rf"non-finite feature value .* at byte {at}$"):
+                read_feature_sidecar(path)
+            with pytest.raises(ParseError, match=rf"features.stpf: non-finite .* at byte {at}$"):
+                load_corpus(path.parent)
+
     def test_record_for_another_clip_names_its_byte(self, saved):
         path, record = saved
         data = bytearray(path.read_bytes())
